@@ -30,7 +30,6 @@ from .oracles import (
     phase_oracle,
     selective_phase_shift,
     shift_index_set,
-    shift_sums,
     shift_unitary_compiled,
     shift_unitary_direct,
     sign_oracle,
@@ -59,52 +58,3 @@ from .spinops import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BitSignTable",
-    "CompiledShift",
-    "DeviationState",
-    "DiagonalUnitary",
-    "Factor",
-    "IterationRecord",
-    "Operator",
-    "PhaseFunction",
-    "PulseSpec",
-    "ReferenceReport",
-    "RunTrace",
-    "ShiftSpec",
-    "SignalVector",
-    "SpinSystem",
-    "apply_pulse",
-    "basis_projector",
-    "basis_projector_product",
-    "bit_sign_table",
-    "block_phase_shift",
-    "brute_parity",
-    "brute_shift_sums",
-    "brute_shifted_signal",
-    "brute_spin_sums",
-    "coherence_order",
-    "conjugate",
-    "evolved_purged_state",
-    "gradient_filter",
-    "initial_state",
-    "mark_count",
-    "oracle_conjugation_expansion",
-    "oracle_evolution_expansion",
-    "phase_oracle",
-    "projected_call_counts",
-    "read_signal",
-    "reference_report",
-    "run_sequence",
-    "selective_conjugation_expansion",
-    "selective_phase_shift",
-    "shift_index_set",
-    "shift_sums",
-    "shift_unitary_compiled",
-    "shift_unitary_direct",
-    "sign_oracle",
-    "solve_parity",
-    "spin_operator",
-    "zero_quantum_filter",
-]

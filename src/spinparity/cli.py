@@ -32,14 +32,14 @@ class TruthTableError(ValueError):
     """Malformed truth-table input; the message carries line/column."""
 
 
-def parse_truth_table_text(text: str, cap: int = DEFAULT_QUBIT_CAP) -> PhaseFunction:
+def parse_truth_table_text(text: str) -> PhaseFunction:
     lines = text.split("\n")
     header = lines[0].rstrip(" \t\r") if lines else ""
     if not header.isdigit():
         raise TruthTableError(f"line 1: expected a spin count, got {header!r}")
     n = int(header)
-    if not 1 <= n <= cap:
-        raise TruthTableError(f"line 1: spin count {n} outside 1..{cap}")
+    if not 1 <= n <= DEFAULT_QUBIT_CAP:
+        raise TruthTableError(f"line 1: spin count {n} outside 1..{DEFAULT_QUBIT_CAP}")
     if len(lines) < 2:
         raise TruthTableError("line 2: missing truth-table row")
     row = lines[1].rstrip(" \t\r")
@@ -62,9 +62,9 @@ def parse_truth_table_text(text: str, cap: int = DEFAULT_QUBIT_CAP) -> PhaseFunc
     return PhaseFunction(n, marks)
 
 
-def parse_truth_table(path: str, cap: int = DEFAULT_QUBIT_CAP) -> PhaseFunction:
+def parse_truth_table(path: str) -> PhaseFunction:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_truth_table_text(fh.read(), cap=cap)
+        return parse_truth_table_text(fh.read())
 
 
 def format_truth_table(f: PhaseFunction) -> str:
@@ -88,8 +88,6 @@ class ExperimentConfig:
     threshold: float = 1e-9
     snr: bool = False
     verify: bool = False
-    out: str = None
-    fmt: str = "json"
 
 
 def resolve_function(cfg: ExperimentConfig, n: int = None) -> PhaseFunction:
@@ -272,11 +270,9 @@ def main(argv=None) -> int:
             threshold=args.threshold,
             snr=args.snr,
             verify=args.verify,
-            out=args.out,
-            fmt=args.fmt,
         )
         status, report = run_experiment(cfg)
-        _emit(render_report(report, cfg.fmt), cfg.out)
+        _emit(render_report(report, args.fmt), args.out)
         return status
     except (TruthTableError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -151,10 +151,13 @@ def read_signal(
     ``amplitude[k] = 2 Tr(rho I_kz) / epsilon_k``; for pipeline outputs this
     is the integer signal the sequence encodes.  In SNR mode amplitudes are
     rescaled by 2/N to the physically detectable magnitude and the given
-    threshold acts as the detection floor.
+    threshold acts as the detection floor.  A nonzero amplitude is at least
+    one unit (1, or 2/N in SNR mode) in magnitude, so the threshold must lie
+    strictly between 0 and that unit to tell zero from nonzero.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    unit = 2.0 / system.dim if snr_mode else 1.0
+    if not 0.0 < threshold < unit:
+        raise ValueError(f"threshold must lie in (0, {unit:g}), got {threshold!r}")
     if state.dim != system.dim:
         raise ValueError(f"dimension mismatch: {state.dim} vs {system.dim}")
     magnitudes = np.abs(state.rho)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinops import DEFAULT_QUBIT_CAP, BitSignTable, DiagonalUnitary
+from .spinops import DEFAULT_QUBIT_CAP, DiagonalUnitary
 
 
 @dataclass(frozen=True)
@@ -233,9 +233,3 @@ def shift_unitary_compiled(spec: ShiftSpec, n: int) -> CompiledShift:
     if mask != 0:
         raise AssertionError("compiled flips do not cancel; construction bug")
     return CompiledShift(DiagonalUnitary(phase * diag), tuple(factors))
-
-
-def shift_sums(spec: ShiftSpec, table: BitSignTable) -> np.ndarray:
-    """Per-spin offsets: the bit-sign sums over the canonical index set."""
-    idx = shift_index_set(spec, table.n)
-    return table.values[:, idx].sum(axis=1)

@@ -33,19 +33,25 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RunTrace:
+    """Iterations and answer of one parity determination.  Each run applies
+    the oracle once at 90 degrees, which counts as two sign-oracle calls, so
+    both call counts are derived from the iterations."""
+
     iterations: tuple
-    uo_calls: int
-    uf_calls: int
     parity: int
     m_star: int
 
     def __post_init__(self):
         if self.parity not in (+1, -1):
             raise ValueError("parity must be +1 or -1")
-        if self.uo_calls != len(self.iterations):
-            raise ValueError("oracle-call count must match the iteration count")
-        if self.uf_calls != 2 * self.uo_calls:
-            raise ValueError("each oracle application counts as two sign-oracle calls")
+
+    @property
+    def uo_calls(self) -> int:
+        return len(self.iterations)
+
+    @property
+    def uf_calls(self) -> int:
+        return 2 * self.uo_calls
 
 
 def solve_parity(
@@ -73,7 +79,7 @@ def solve_parity(
             IterationRecord(None, None, sig.amplitudes,
                             f"zero signal on spin(s) {zeros}; mark count is even")
         )
-        return RunTrace(tuple(records), len(records), 2 * len(records), +1, None)
+        return RunTrace(tuple(records), +1, None)
 
     sign = +1 if sig.amplitudes[0] > 0 else -1
     records.append(
@@ -110,7 +116,7 @@ def solve_parity(
             "bisection invariant violated; signal conventions are inconsistent"
         )
     parity = +1 if m_star % 2 == 0 else -1
-    return RunTrace(tuple(records), len(records), 2 * len(records), parity, m_star)
+    return RunTrace(tuple(records), parity, m_star)
 
 
 def projected_call_counts(n: int) -> dict:

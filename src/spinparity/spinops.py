@@ -50,31 +50,28 @@ class SpinSystem:
     Parameters
     ----------
     n : int
-        Number of work spins, ``1 <= n <= cap``.
+        Number of work spins, ``1 <= n <= DEFAULT_QUBIT_CAP``.
     epsilon : tuple of float, optional
-        Polarization parameter of each spin, all positive.  Defaults to 1.0
-        for every spin.
-    cap : int, optional
-        Hard upper bound on ``n`` (dense matrices grow as ``4**n``).
+        Polarization parameter of each spin, all finite and positive.
+        Defaults to 1.0 for every spin.
     """
 
     n: int
     epsilon: tuple = None
-    cap: int = DEFAULT_QUBIT_CAP
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"spin count must be a positive integer, got {self.n!r}")
-        if self.n > self.cap:
-            raise ValueError(f"n={self.n} exceeds the dense-matrix cap of {self.cap}")
+        if self.n > DEFAULT_QUBIT_CAP:
+            raise ValueError(f"n={self.n} exceeds the dense-matrix cap of {DEFAULT_QUBIT_CAP}")
         eps = self.epsilon
         if eps is None:
             eps = (1.0,) * self.n
         eps = tuple(float(e) for e in np.atleast_1d(eps))
         if len(eps) != self.n:
             raise ValueError(f"expected {self.n} polarization parameters, got {len(eps)}")
-        if any(e <= 0.0 for e in eps):
-            raise ValueError("polarization parameters must all be positive")
+        if not all(0.0 < e < np.inf for e in eps):
+            raise ValueError("polarization parameters must all be finite and positive")
         object.__setattr__(self, "epsilon", eps)
 
     @property
@@ -126,9 +123,6 @@ class DiagonalUnitary:
 
     def adjoint(self) -> "DiagonalUnitary":
         return DiagonalUnitary(self.phases.conj())
-
-    def as_matrix(self) -> np.ndarray:
-        return np.diag(self.phases)
 
 
 @dataclass(frozen=True)
@@ -211,18 +205,13 @@ def bit_sign_table(n: int) -> BitSignTable:
     return t
 
 
-def _spin_count(system) -> int:
-    return system.n if isinstance(system, SpinSystem) else int(system)
-
-
-def spin_operator(system, k: int, axis: str) -> Operator:
+def spin_operator(n: int, k: int, axis: str) -> Operator:
     """Single-spin angular momentum component embedded in the register.
 
     Returns ``E (x) ... (x) sigma_axis/2 (x) ... (x) E`` with the nontrivial
     factor at slot ``k`` (slot 1 leftmost / most significant).  Hermitian
     with eigenvalues +/-1/2.
     """
-    n = _spin_count(system)
     if not 1 <= k <= n:
         raise IndexError(f"spin index {k} outside 1..{n}")
     if axis not in _HALF_SIGMA:

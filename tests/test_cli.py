@@ -247,6 +247,12 @@ class TestMain:
     def test_usage_error_remapped(self):
         assert main(["--format", "yaml"]) == 1
 
+    def test_threshold_above_snr_unit_rejected(self, capsys):
+        # 0.01 exceeds 2/N = 1/128, so it would flag nonzero amplitudes as zero
+        argv = ["--n", "8", "--function", "single:5", "--snr", "--threshold", "0.01", "--verify"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_snr_flag(self, capsys):
         assert main(["--n", "3", "--function", "single:5", "--snr", "--verify"]) == 0
         report = json.loads(capsys.readouterr().out)

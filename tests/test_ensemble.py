@@ -167,8 +167,13 @@ class TestReadSignal:
             read_signal(state, SpinSystem(2))
 
     def test_rejects_negative_threshold(self):
-        with pytest.raises(ValueError):
-            read_signal(DeviationState(np.zeros((4, 4))), SpinSystem(2), threshold=-1.0)
+        # nonzero amplitudes are at least 1, or 2/N = 0.5 in SNR mode at n=2
+        bad = [(-1.0, False), (0.0, False), (float("nan"), False), (1.0, False),
+               (1.5, False), (0.0, True), (0.5, True), (1.0, True)]
+        for threshold, snr_mode in bad:
+            with pytest.raises(ValueError):
+                read_signal(DeviationState(np.zeros((4, 4))), SpinSystem(2),
+                            threshold=threshold, snr_mode=snr_mode)
 
     def test_snr_mode_scales_by_two_over_dim(self):
         n, N = 3, 8

@@ -13,7 +13,6 @@ from spinparity import (
     phase_oracle,
     selective_phase_shift,
     shift_index_set,
-    shift_sums,
     shift_unitary_compiled,
     shift_unitary_direct,
     sign_oracle,
@@ -231,19 +230,6 @@ class TestCompiledShift:
         kinds = [fac.kind for fac in comp.factors]
         assert kinds.count("block") == 3
         assert kinds.count("flip") == 2 and kinds.count("unflip") == 2
-
-    def test_offsets_match_table_sums(self):
-        t = bit_sign_table(4)
-        for m in range(1, 9):
-            for sign in (+1, -1):
-                spec = ShiftSpec(m, sign)
-                sums = shift_sums(spec, t)
-                assert sums[0] == sign * m
-                direct = [
-                    sum(t.sign(k, int(l)) for l in shift_index_set(spec, 4))
-                    for k in range(1, 5)
-                ]
-                assert list(sums) == direct
 
 
 class TestDiagonalCommutation:
