@@ -34,7 +34,7 @@ from .oracles import (
     shift_unitary_direct,
     sign_oracle,
 )
-from .protocol import IterationRecord, RunTrace, projected_call_counts, solve_parity
+from .protocol import IterationRecord, RunTrace, SignalError, projected_call_counts, solve_parity
 from .reference import (
     ReferenceReport,
     brute_parity,

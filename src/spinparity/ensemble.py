@@ -2,14 +2,24 @@
 purge filter, signal readout, and closed-form evaluators that cross-check the
 matrix pipeline term by term.
 
-The production sequence is: transverse initial state -> phase oracle at 90
-degrees -> optional offset shift -> hard 90-degree y pulse on all spins ->
-gradient filter -> zero-quantum filter -> longitudinal readout.  For the
-plain sequence the per-spin amplitudes are exactly the signed mark sums of
-the truth table; with an offset shift the amplitudes subtract the shift's
+The sequence is: transverse initial state -> phase oracle at 90 degrees ->
+optional offset shift -> hard 90-degree y pulse on all spins -> gradient
+filter -> zero-quantum filter -> longitudinal readout.  For the plain
+sequence the per-spin amplitudes are exactly the signed mark sums of the
+truth table; with an offset shift the amplitudes subtract the shift's
 per-spin offsets whenever the marked set and shift block do not collide on a
 spin's index pairs, and always agree with that difference modulo 2 (see
 ``run_sequence``).
+
+Two engines run it.  ``run_sequence`` is the dense reference: it builds,
+rotates and purges the N x N density matrix stage by stage.  ``pair_sequence``
+is the one the solver uses: the purged state is a sum of single-spin
+longitudinal terms, so spin k's amplitude depends only on the product ``p``
+of the oracle and shift phase vectors over spin k's index pairs,
+``amp_k = -Im sum_{r: bit k = 0} p_r * conj(p_{r + 2^(n-k)})``, which is
+O(nN) and independent of the polarizations.  The test suite checks the two
+against each other and against the integer reference; they agree to
+round-off and can differ only in the residue left for an exact zero.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from .spinops import (
     DeviationState,
     SpinSystem,
     _popcounts,
+    apply_diagonal,
     bit_sign_table,
     conjugate,
 )
@@ -140,6 +151,24 @@ def zero_quantum_filter(state: DeviationState) -> DeviationState:
     return DeviationState(np.where(kill, 0.0, state.rho), validate=False)
 
 
+def _check_threshold(threshold: float, snr_mode: bool, N: int) -> None:
+    """A nonzero amplitude is at least one unit (1, or 2/N in SNR mode) in
+    magnitude, so the threshold must lie strictly between 0 and that unit to
+    tell zero from nonzero."""
+    unit = 2.0 / N if snr_mode else 1.0
+    if not 0.0 < threshold < unit:
+        raise ValueError(f"threshold must lie in (0, {unit:g}), got {threshold!r}")
+
+
+def _signal(amps: np.ndarray, N: int, threshold: float, snr_mode: bool) -> SignalVector:
+    """Scale integer-unit amplitudes to the 2/N physical scale in SNR mode
+    and flag the ones below the threshold as zero."""
+    if snr_mode:
+        amps = amps * (2.0 / N)
+    flags = np.abs(amps) < threshold
+    return SignalVector(tuple(amps), tuple(flags), threshold)
+
+
 def read_signal(
     state: DeviationState,
     system: SpinSystem,
@@ -151,13 +180,10 @@ def read_signal(
     ``amplitude[k] = 2 Tr(rho I_kz) / epsilon_k``; for pipeline outputs this
     is the integer signal the sequence encodes.  In SNR mode amplitudes are
     rescaled by 2/N to the physically detectable magnitude and the given
-    threshold acts as the detection floor.  A nonzero amplitude is at least
-    one unit (1, or 2/N in SNR mode) in magnitude, so the threshold must lie
-    strictly between 0 and that unit to tell zero from nonzero.
+    threshold acts as the detection floor; it must lie in (0, unit), see
+    ``_check_threshold``.
     """
-    unit = 2.0 / system.dim if snr_mode else 1.0
-    if not 0.0 < threshold < unit:
-        raise ValueError(f"threshold must lie in (0, {unit:g}), got {threshold!r}")
+    _check_threshold(threshold, snr_mode, system.dim)
     if state.dim != system.dim:
         raise ValueError(f"dimension mismatch: {state.dim} vs {system.dim}")
     magnitudes = np.abs(state.rho)
@@ -170,10 +196,7 @@ def read_signal(
     d = np.diag(state.rho).real
     table = bit_sign_table(system.n)
     amps = table.values @ d / np.asarray(system.epsilon)
-    if snr_mode:
-        amps = amps * (2.0 / system.dim)
-    flags = np.abs(amps) < threshold
-    return SignalVector(tuple(amps), tuple(flags), threshold)
+    return _signal(amps, system.dim, threshold, snr_mode)
 
 
 def selective_conjugation_expansion(state: DeviationState, s: int, theta: float) -> DeviationState:
@@ -296,3 +319,30 @@ def run_sequence(
     """
     state = evolved_purged_state(system, f, shift)
     return read_signal(state, system, threshold=threshold, snr_mode=snr_mode)
+
+
+def pair_sequence(
+    system: SpinSystem,
+    f: PhaseFunction,
+    shift: ShiftSpec = None,
+    threshold: float = 1e-9,
+    snr_mode: bool = False,
+) -> SignalVector:
+    """Same readout as ``run_sequence`` in O(nN), without the density matrix.
+
+    The oracle and shift phases multiply into one vector ``p``; spin k's
+    amplitude is ``-Im sum p_r * conj(p_c)`` over its index pairs ``(r, c)``
+    with c = r + 2^(n-k), and the polarization cancels.
+    """
+    if f.n != system.n:
+        raise ValueError(f"truth table is for n={f.n}, system has n={system.n}")
+    n, N = system.n, system.dim
+    _check_threshold(threshold, snr_mode, N)
+    p = apply_diagonal(phase_oracle(f, 0.5 * np.pi), np.ones(N, dtype=complex))
+    if shift is not None:
+        p = apply_diagonal(shift_unitary_direct(shift, n), p)
+    amps = np.empty(n)
+    for k in range(1, n + 1):
+        t = p.reshape(1 << (k - 1), 2, 1 << (n - k))
+        amps[k - 1] = -np.vdot(t[:, 1, :], t[:, 0, :]).imag
+    return _signal(amps, N, threshold, snr_mode)

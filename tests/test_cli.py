@@ -253,6 +253,12 @@ class TestMain:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_threshold_below_round_off_rejected(self, capsys):
+        # residues of exact zeros exceed 1e-20, so the search cannot trust them
+        argv = ["--n", "4", "--function", "random", "--seed", "4", "--threshold", "1e-20", "--verify"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_snr_flag(self, capsys):
         assert main(["--n", "3", "--function", "single:5", "--snr", "--verify"]) == 0
         report = json.loads(capsys.readouterr().out)

@@ -4,6 +4,7 @@ import pytest
 from spinparity import (
     PhaseFunction,
     RunTrace,
+    SignalError,
     SpinSystem,
     brute_parity,
     mark_count,
@@ -116,6 +117,24 @@ class TestTraceInvariants:
             scaled = solve_parity(SpinSystem(n), f, snr_mode=True)
             assert plain.parity == scaled.parity
             assert plain.m_star == scaled.m_star
+
+
+class TestSignalInvariant:
+    def test_threshold_below_round_off_never_silently_wrong(self):
+        # at 1e-20 round-off residues of exact zeros escape the zero flag;
+        # every such run must raise instead of steering the search
+        rng = np.random.default_rng(0)
+        raised = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            f = PhaseFunction(n, rng.random(1 << n) < 0.5)
+            try:
+                trace = solve_parity(SpinSystem(n), f, threshold=1e-20)
+            except SignalError:
+                raised += 1
+            else:
+                assert trace.parity == brute_parity(f)
+        assert raised > 0
 
 
 class TestProjectedCallCounts:
