@@ -98,7 +98,10 @@ def resolve_function(cfg: ExperimentConfig, n: int = None) -> PhaseFunction:
         return PhaseFunction.constant(n, +1 if src == "const-plus" else -1)
     if src.startswith("single:"):
         _require_n(n, src)
-        return PhaseFunction.single(n, int(src.split(":", 1)[1]))
+        try:
+            return PhaseFunction.single(n, int(src.split(":", 1)[1]))
+        except IndexError as exc:
+            raise ValueError(str(exc)) from None
     if src == "random":
         _require_n(n, src)
         if cfg.seed is None:

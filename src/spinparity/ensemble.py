@@ -25,7 +25,7 @@ round-off and can differ only in the residue left for an exact zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -101,24 +101,21 @@ def _rot2(axis: str, angle: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
-def _contract_axis(mat: np.ndarray, flat: np.ndarray, lead: int) -> np.ndarray:
-    """Apply a 2x2 matrix to one binary axis of a flattened tensor whose
-    leading block size is ``lead``; batched matmul keeps the runs contiguous."""
-    return np.matmul(mat, flat.reshape(lead, 2, -1))
-
-
 def apply_pulse(state: DeviationState, pulse: PulseSpec) -> DeviationState:
-    """Conjugate by the hard-pulse rotation, one single-spin contraction per
-    tensor leg instead of a dense N^3 product."""
+    """Conjugate by the hard-pulse rotation ``R^(x)n = A (x) B``, with ``A``
+    on the high ``n // 2`` spins and ``B`` on the rest: four contractions
+    with the two small factors, written into one new N x N array."""
     N = state.dim
     n = N.bit_length() - 1
     r = _rot2(pulse.axis, pulse.angle)
-    t = state.rho
-    for j in range(n):  # row legs
-        t = _contract_axis(r, t, 1 << j)
-    rc = r.conj()
-    for j in range(n):  # column legs
-        t = _contract_axis(rc, t, N << j)
+    a = reduce(np.kron, [r] * (n // 2), np.eye(1))
+    b = reduce(np.kron, [r] * (n - n // 2), np.eye(1))
+    da, db = len(a), len(b)
+    t = a @ state.rho.reshape(da, -1)  # row legs of the high spins
+    for blk in t.reshape(da, db, N):  # row legs of the low spins
+        blk[...] = b @ blk
+    for rows in t.reshape(db, da, da, db):  # column legs
+        rows[...] = a.conj() @ rows @ b.conj().T
     return DeviationState(t.reshape(N, N), validate=False)
 
 

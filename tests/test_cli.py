@@ -259,6 +259,16 @@ class TestMain:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--n", "2", "--function", "single:5"], ["--bench", "2,3", "--function", "single:5"]],
+    )
+    def test_out_of_range_single_index_rejected(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_snr_flag(self, capsys):
         assert main(["--n", "3", "--function", "single:5", "--snr", "--verify"]) == 0
         report = json.loads(capsys.readouterr().out)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -87,6 +89,48 @@ class TestApplyPulse:
             fast = apply_pulse(state, PulseSpec(axis, angle)).rho
             r = dense_pulse_matrix(n, axis, angle)
             assert np.abs(fast - r @ state.rho @ r.conj().T).max() < 1e-11
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_dense_exponential_for_every_factor_split(self, axis, n):
+        # n = 1..7 puts 0..3 spins in the high factor and 1..4 in the low
+        rng = np.random.default_rng(100 + n)
+        state = random_deviation_state(n, rng)
+        angle = float(rng.uniform(-np.pi, np.pi))
+        fast = apply_pulse(state, PulseSpec(axis, angle)).rho
+        r = dense_pulse_matrix(n, axis, angle)
+        assert np.abs(fast - r @ state.rho @ r.conj().T).max() < 1e-11
+
+    def test_leaves_input_state_unchanged(self):
+        rng = np.random.default_rng(54)
+        state = random_deviation_state(5, rng)
+        before = state.rho.copy()
+        apply_pulse(state, PulseSpec("x", 1.1))
+        assert np.array_equal(state.rho, before)
+
+    def test_pipeline_output_hermitian_traceless_at_n10(self):
+        rng = np.random.default_rng(55)
+        n = 10
+        system = SpinSystem(n)
+        state = conjugate(phase_oracle(random_function(n, rng), np.pi / 2), initial_state(system))
+        state = conjugate(shift_unitary_direct(ShiftSpec(300, -1), n), state)
+        out = apply_pulse(state, PulseSpec("y", np.pi / 2)).rho
+        assert np.abs(out - out.conj().T).max() < STRUCT_TOL
+        assert abs(out.trace()) < STRUCT_TOL
+
+    def test_peak_allocation_is_one_state(self):
+        # the rotation writes into a single new N x N array
+        n = 9
+        state = initial_state(SpinSystem(n))
+        pulse = PulseSpec("y", np.pi / 2)
+        apply_pulse(state, pulse)
+        tracemalloc.start()
+        try:
+            out = apply_pulse(state, pulse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.rho.nbytes
 
     def test_pulse_spec_validation(self):
         with pytest.raises(ValueError):
