@@ -14,12 +14,13 @@ spin's index pairs, and always agree with that difference modulo 2 (see
 Two engines run it.  ``run_sequence`` is the dense reference: it builds,
 rotates and purges the N x N density matrix stage by stage.  ``pair_sequence``
 is the one the solver uses: the purged state is a sum of single-spin
-longitudinal terms, so spin k's amplitude depends only on the product ``p``
-of the oracle and shift phase vectors over spin k's index pairs,
-``amp_k = -Im sum_{r: bit k = 0} p_r * conj(p_{r + 2^(n-k)})``, which is
-O(nN) and independent of the polarizations.  The test suite checks the two
-against each other and against the integer reference; they agree to
-round-off and can differ only in the residue left for an exact zero.
+longitudinal terms, so spin k's amplitude depends only on the oracle and
+shift phases over spin k's index pairs.  At 90 degrees those phases are
+powers of ``-i`` with exponents ``q``, and a pair ``(r, r + 2^(n-k))`` adds
+``sin(pi/2 * (q_r - q_{r + 2^(n-k)}))``, which is 0 or +/-1: an exact
+integer readout in O(nN), independent of the polarizations.  The test suite
+checks the pair engine against the integer reference, which it agrees with
+exactly, and against the dense engine, which it agrees with to round-off.
 """
 
 from __future__ import annotations
@@ -318,6 +319,18 @@ def run_sequence(
     return read_signal(state, system, threshold=threshold, snr_mode=snr_mode)
 
 
+@lru_cache(maxsize=None)
+def _spin_pairs(n: int) -> np.ndarray:
+    """Index pairs of every spin, shape (2, n, N/2): row ``k - 1`` holds the
+    indices ``r`` with bit k = 0 and their partners ``r + 2^(n-k)``."""
+    x = np.arange(1 << n)
+    steps = 1 << np.arange(n - 1, -1, -1)  # 2^(n-k), k = 1..n
+    rows = np.stack([x[(x & step) == 0] for step in steps])
+    pairs = np.stack([rows, rows + steps[:, None]])
+    pairs.setflags(write=False)
+    return pairs
+
+
 def pair_sequence(
     system: SpinSystem,
     f: PhaseFunction,
@@ -325,21 +338,26 @@ def pair_sequence(
     threshold: float = 1e-9,
     snr_mode: bool = False,
 ) -> SignalVector:
-    """Same readout as ``run_sequence`` in O(nN), without the density matrix.
+    """Same readout as ``run_sequence`` in O(nN), without the density matrix,
+    in exact integers.
 
-    The oracle and shift phases multiply into one vector ``p``; spin k's
-    amplitude is ``-Im sum p_r * conj(p_c)`` over its index pairs ``(r, c)``
-    with c = r + 2^(n-k), and the polarization cancels.
+    At 90 degrees every phase is a power of ``-i``, so the state is held as
+    its quarter-turn exponents ``q``: the oracle adds ``g(x)`` and the shift
+    adds -1 on its block.  An index pair ``(r, c)`` of spin k, c = r +
+    2^(n-k), then adds ``sin(pi/2 * (q_r - q_c))``, which is 0 or +/-1, to
+    that spin's amplitude; the polarization cancels.
     """
     if f.n != system.n:
         raise ValueError(f"truth table is for n={f.n}, system has n={system.n}")
     n, N = system.n, system.dim
     _check_threshold(threshold, snr_mode, N)
-    p = apply_diagonal(phase_oracle(f, 0.5 * np.pi), np.ones(N, dtype=complex))
+    q = np.zeros(N, dtype=np.int8)
+    apply_diagonal(q, f.marks)
     if shift is not None:
-        p = apply_diagonal(shift_unitary_direct(shift, n), p)
-    amps = np.empty(n)
-    for k in range(1, n + 1):
-        t = p.reshape(1 << (k - 1), 2, 1 << (n - k))
-        amps[k - 1] = -np.vdot(t[:, 1, :], t[:, 0, :]).imag
-    return _signal(amps, N, threshold, snr_mode)
+        apply_diagonal(q, -1, shift.block(n))
+    rows, cols = _spin_pairs(n)
+    d = q.take(rows)
+    d -= q.take(cols)
+    sines = (d == 1).view(np.int8)
+    sines -= (d == -1).view(np.int8)
+    return _signal(sines.sum(axis=1), N, threshold, snr_mode)

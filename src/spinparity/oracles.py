@@ -134,6 +134,13 @@ class ShiftSpec:
         if self.m > 1 << (n - 1):
             raise ValueError(f"shift size {self.m} exceeds 2^(n-1) = {1 << (n - 1)}")
 
+    def block(self, n: int) -> slice:
+        """The canonical offset block: the ``m`` smallest indices on the
+        chosen spin-1 branch, so every member's spin-1 sign is ``sign``."""
+        self.validate(n)
+        start = 0 if self.sign > 0 else 1 << (n - 1)
+        return slice(start, start + self.m)
+
     @property
     def bits(self) -> tuple:
         """Exponents of the binary decomposition of ``m``, descending."""
@@ -143,13 +150,12 @@ class ShiftSpec:
 def shift_index_set(spec: ShiftSpec, n: int) -> np.ndarray:
     """Basis indices whose selective shifts compose the offset unitary.
 
-    The canonical choice is the nested-subcube block: the ``m`` smallest
-    indices on the chosen spin-1 branch.  Every member has spin-1 sign equal
-    to ``spec.sign``, so the spin-1 offset is exactly ``sign * m``.
+    The canonical choice is the nested-subcube block ``spec.block(n)``.
+    Every member has spin-1 sign equal to ``spec.sign``, so the spin-1
+    offset is exactly ``sign * m``.
     """
-    spec.validate(n)
-    start = 0 if spec.sign > 0 else 1 << (n - 1)
-    return np.arange(start, start + spec.m)
+    block = spec.block(n)
+    return np.arange(block.start, block.stop)
 
 
 def block_phase_shift(n: int, width: int, theta: float) -> DiagonalUnitary:

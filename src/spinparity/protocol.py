@@ -10,9 +10,10 @@ lands on one; its parity equals the parity of the mark count.  A bracket of
 width one whose left edge is still nonzero forces the zero at its right edge
 without spending another run, which is what keeps the total at n.
 
-Every run goes through the O(nN) pair engine ``ensemble.pair_sequence``;
-the dense ``ensemble.run_sequence`` is the reference it is tested against.
-An amplitude neither flagged zero nor a whole unit raises ``SignalError``.
+Every run goes through the exact integer pair engine
+``ensemble.pair_sequence``, whose amplitudes are whole units, so every
+threshold in (0, unit) tells zero from nonzero; the dense
+``ensemble.run_sequence`` is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .spinops import SpinSystem
 
 
 class SignalError(ValueError):
-    """A readout or search invariant failed, so no parity can be trusted."""
+    """A search invariant failed, so no parity can be trusted."""
 
 
 @dataclass(frozen=True)
@@ -64,20 +65,6 @@ class RunTrace:
         return 2 * self.uo_calls
 
 
-def _run(system: SpinSystem, f: PhaseFunction, shift, threshold: float, snr_mode: bool):
-    """One sequence run whose every amplitude is flagged zero or at least
-    half a unit in magnitude; anything else is unflagged round-off."""
-    sig = run_sequence(system, f, shift=shift, threshold=threshold, snr_mode=snr_mode)
-    half_unit = 1.0 / system.dim if snr_mode else 0.5
-    for k, (a, z) in enumerate(zip(sig.amplitudes, sig.zero_flags), start=1):
-        if not z and abs(a) < half_unit:
-            raise SignalError(
-                f"spin {k} reads {a:.3e}, neither zero nor a whole unit; "
-                f"threshold {threshold:g} is below the round-off of an exact zero"
-            )
-    return sig
-
-
 def solve_parity(
     system: SpinSystem,
     f: PhaseFunction,
@@ -89,8 +76,7 @@ def solve_parity(
     In SNR mode amplitudes are recorded at their physically detectable scale
     and ``threshold`` acts as the detection floor; branch decisions only use
     signs and zero flags, so the control flow is unchanged.  Raises
-    ``SignalError`` when a run reads an amplitude that is neither flagged
-    zero nor a whole unit, or when the bisection breaks its invariants.
+    ``SignalError`` when the bisection breaks its invariants.
     """
     if f.n != system.n:
         raise ValueError(f"truth table is for n={f.n}, system has n={system.n}")
@@ -98,7 +84,7 @@ def solve_parity(
     half = 1 << (n - 1)
     records = []
 
-    sig = _run(system, f, None, threshold, snr_mode)
+    sig = run_sequence(system, f, None, threshold, snr_mode)
     if any(sig.zero_flags):
         zeros = [k + 1 for k, z in enumerate(sig.zero_flags) if z]
         records.append(
@@ -117,7 +103,7 @@ def solve_parity(
     m_star = None
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        probe = _run(system, f, ShiftSpec(mid, sign), threshold, snr_mode)
+        probe = run_sequence(system, f, ShiftSpec(mid, sign), threshold, snr_mode)
         a = probe.amplitudes[0]
         if probe.zero_flags[0]:
             m_star = mid

@@ -5,7 +5,8 @@ Everything here works on a register of ``n`` work spins with dimension
 basis state ``s`` assigns spin ``k`` the bit ``(s >> (n - k)) & 1``, with
 bit 0 corresponding to magnetic quantum number +1/2.  All operators are
 plain complex matrices; diagonal unitaries are stored as phase vectors so
-that conjugation stays O(N^2), and applying one to a state vector is O(N).
+that conjugation stays O(N^2).  A quarter-turn diagonal unitary acts on a
+state vector held as its quarter-turn exponents by integer addition, O(N).
 """
 
 from __future__ import annotations
@@ -285,10 +286,10 @@ def conjugate(u, state: DeviationState) -> DeviationState:
     raise TypeError(f"cannot conjugate by {type(u).__name__}")
 
 
-def apply_diagonal(u: DiagonalUnitary, v: np.ndarray) -> np.ndarray:
-    """Apply a diagonal unitary to a length-N vector: ``u.phases * v``
-    (O(N)); counted with the diagonal conjugations."""
-    if u.dim != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {u.dim} vs {v.shape[0]}")
+def apply_diagonal(q: np.ndarray, e, index=slice(None)) -> None:
+    """Apply a quarter-turn diagonal unitary, in place, to a length-N vector
+    held as its quarter-turn exponents ``q`` (entries ``(-i)**q``): the
+    unitary's exponents ``e`` add to ``q[index]``.  Counted with the
+    diagonal conjugations."""
     _OP_COUNTS["diagonal"] += 1
-    return u.phases * v
+    q[index] += e

@@ -253,11 +253,12 @@ class TestMain:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_threshold_below_round_off_rejected(self, capsys):
-        # residues of exact zeros exceed 1e-20, so the search cannot trust them
+    def test_threshold_below_float_round_off_answered(self, capsys):
+        # exact zeros read exactly 0, so even a 1e-20 floor flags them
         argv = ["--n", "4", "--function", "random", "--seed", "4", "--threshold", "1e-20", "--verify"]
-        assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["parity"] == report["G_parity_reference"]
 
     @pytest.mark.parametrize(
         "argv",

@@ -8,10 +8,12 @@ from spinparity import (
     PhaseFunction,
     ShiftSpec,
     SpinSystem,
+    brute_parity,
     brute_shifted_signal,
     run_sequence,
     solve_parity,
 )
+from spinparity import ensemble
 from spinparity.ensemble import pair_sequence
 from spinparity.spinops import op_counts, reset_op_counts
 
@@ -31,19 +33,19 @@ def _assert_engines_agree(system, f, spec, **kw):
     assert fast.zero_flags == dense.zero_flags, where
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_exhaustive_small_registers(n):
+def _exhaustive(n):
+    """Every function and every shift of an n-spin register."""
     half = 1 << (n - 1)
     specs = [None] + [ShiftSpec(m, s) for m in range(1, half + 1) for s in (+1, -1)]
     system = SpinSystem(n)
     for mask in range(1 << (1 << n)):
         f = function_from_mask(n, mask)
         for spec in specs:
-            _assert_engines_agree(system, f, spec)
+            yield system, f, spec
 
 
-@pytest.mark.parametrize("n", range(4, 11))
-def test_random_functions_shifts_and_polarizations(n):
+def _seeded(n):
+    """Seeded random functions, shifts and polarizations of an n-spin register."""
     rng = np.random.default_rng(400 + n)
     half = 1 << (n - 1)
     for i in range(6 if n < 10 else 3):
@@ -52,7 +54,61 @@ def test_random_functions_shifts_and_polarizations(n):
         spec = None
         if i % 3:
             spec = ShiftSpec(int(rng.integers(1, half + 1)), int(rng.choice((1, -1))))
-        _assert_engines_agree(system, f, spec)
+        yield system, f, spec
+
+
+def _cases(n):
+    return _exhaustive(n) if n <= 3 else _seeded(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exhaustive_small_registers(n):
+    for case in _exhaustive(n):
+        _assert_engines_agree(*case)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_random_functions_shifts_and_polarizations(n):
+    for case in _seeded(n):
+        _assert_engines_agree(*case)
+
+
+@pytest.mark.parametrize("snr_mode", [False, True])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_amplitudes_are_whole_units(n, snr_mode):
+    # exact integer multiples of the unit, so no amplitude sits strictly
+    # between a flagged zero and one unit for any threshold in (0, unit)
+    unit = 2.0 / (1 << n) if snr_mode else 1.0
+    for system, f, spec in _cases(n):
+        sig = pair_sequence(system, f, spec, threshold=0.5 * unit, snr_mode=snr_mode)
+        for a in sig.amplitudes:
+            assert a == round(a / unit) * unit, (n, spec, sig.amplitudes)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_equals_integer_reference_exactly(n):
+    for system, f, spec in _cases(n):
+        fast = pair_sequence(system, f, spec)
+        where = f"n={n} marks={np.flatnonzero(f.marks).tolist()} shift={spec}"
+        assert fast.amplitudes == tuple(float(a) for a in brute_shifted_signal(f, spec)), where
+        assert fast.zero_flags == run_sequence(system, f, spec).zero_flags, where
+
+
+def test_rejects_oversized_shift():
+    with pytest.raises(ValueError):
+        pair_sequence(SpinSystem(3), PhaseFunction.single(3, 1), ShiftSpec(5, +1))
+
+
+def test_solver_builds_no_phase_vectors(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the solver built a complex phase vector")
+
+    monkeypatch.setattr(ensemble, "phase_oracle", forbidden)
+    monkeypatch.setattr(ensemble, "shift_unitary_direct", forbidden)
+    rng = np.random.default_rng(413)
+    for _ in range(5):
+        f = PhaseFunction(10, rng.random(1 << 10) < 0.5)
+        assert solve_parity(SpinSystem(10), f).parity == brute_parity(f)
 
 
 def test_snr_mode_agrees():
