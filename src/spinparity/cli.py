@@ -2,10 +2,10 @@
 verification against the brute-force reference, machine-readable reports,
 and a benchmark mode.
 
-Truth-table file format (bit-exact): line 1 is the spin count n, line 2 is
-exactly 2^n characters, '+' for f(x) = +1 and '-' for f(x) = -1, where the
-character position is the basis index with spin 1 as the most significant
-bit.  Whitespace is tolerated at line ends only.
+Truth-table file format (bit-exact): line 1 is the spin count n in ASCII
+digits, line 2 is exactly 2^n characters, '+' for f(x) = +1 and '-' for
+f(x) = -1, where the character position is the basis index with spin 1 as
+the most significant bit.  Whitespace is tolerated at line ends only.
 
 Exit codes: 0 on success (and reference agreement when --verify is set),
 1 on parse or configuration errors, 2 on verification mismatch.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -35,7 +36,7 @@ class TruthTableError(ValueError):
 def parse_truth_table_text(text: str) -> PhaseFunction:
     lines = text.split("\n")
     header = lines[0].rstrip(" \t\r") if lines else ""
-    if not header.isdigit():
+    if not (header.isascii() and header.isdigit()):
         raise TruthTableError(f"line 1: expected a spin count, got {header!r}")
     n = int(header)
     if not 1 <= n <= DEFAULT_QUBIT_CAP:
@@ -63,7 +64,9 @@ def parse_truth_table_text(text: str) -> PhaseFunction:
 
 
 def parse_truth_table(path: str) -> PhaseFunction:
-    with open(path, "r", encoding="ascii") as fh:
+    # Bytes that are not UTF-8 decode to one lone surrogate each, so every
+    # non-ASCII input reaches the parser as a character with a position.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_truth_table_text(fh.read())
 
 
@@ -209,7 +212,10 @@ def bench(cfg: ExperimentConfig, sizes) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.  Parsing reads
+    it and never changes it, so every ``main`` call shares it."""
     p = argparse.ArgumentParser(
         prog="spinparity",
         description="Determine the parity of a Boolean phase function by "

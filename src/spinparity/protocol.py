@@ -8,7 +8,11 @@ moves by exactly +/-1 per unit of M, and reaches a non-positive (branch-wise)
 value at M = N/2, so a zero crossing exists and ordinary interval bisection
 lands on one; its parity equals the parity of the mark count.  A bracket of
 width one whose left edge is still nonzero forces the zero at its right edge
-without spending another run, which is what keeps the total at n.
+without spending another run, which is what keeps the total at n.  Every
+probe checks that walk: in units, the spin-1 amplitude at offset M is
+congruent to the base amplitude plus M mod 2, because each index pair adds
+``sin(pi/2 * dq)``, which is ``dq`` mod 2, and the shift takes M from spin
+1's exponent sum.
 
 Every run goes through the exact integer pair engine
 ``ensemble.pair_sequence``, whose amplitudes are whole units, so every
@@ -76,12 +80,11 @@ def solve_parity(
     In SNR mode amplitudes are recorded at their physically detectable scale
     and ``threshold`` acts as the detection floor; branch decisions only use
     signs and zero flags, so the control flow is unchanged.  Raises
-    ``SignalError`` when the bisection breaks its invariants.
+    ``SignalError`` when a probe's spin-1 amplitude breaks the parity walk.
     """
     if f.n != system.n:
         raise ValueError(f"truth table is for n={f.n}, system has n={system.n}")
-    n = system.n
-    half = 1 << (n - 1)
+    half = system.dim // 2
     records = []
 
     sig = run_sequence(system, f, None, threshold, snr_mode)
@@ -99,12 +102,19 @@ def solve_parity(
                         f"no zero signal; bracketing spin 1 with branch sign {sign:+d}")
     )
 
+    unit = 2.0 / system.dim if snr_mode else 1.0
+    base = round(sig.amplitudes[0] / unit)
     lo, hi = 0, half
     m_star = None
     while hi - lo > 1:
         mid = (lo + hi) // 2
         probe = run_sequence(system, f, ShiftSpec(mid, sign), threshold, snr_mode)
         a = probe.amplitudes[0]
+        if (round(a / unit) - base + mid) % 2:
+            raise SignalError(
+                f"spin-1 amplitude {a:+.12g} at offset {mid} breaks the parity "
+                f"walk from base amplitude {sig.amplitudes[0]:+.12g}"
+            )
         if probe.zero_flags[0]:
             m_star = mid
             decision = f"offset {mid} nulls the spin-1 signal"
@@ -121,10 +131,6 @@ def solve_parity(
         # Bracket of width one: the walk moves by one per unit offset, so a
         # nonzero left edge and the crossing guarantee force the zero at hi.
         m_star = hi
-    if not 1 <= m_star <= half or len(records) > n:
-        raise SignalError(
-            "bisection invariant violated; signal conventions are inconsistent"
-        )
     parity = +1 if m_star % 2 == 0 else -1
     return RunTrace(tuple(records), parity, m_star)
 

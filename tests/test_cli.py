@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -77,6 +78,24 @@ class TestParseTruthTable:
         again = parse_truth_table_text(format_truth_table(f))
         assert again.n == f.n
         assert np.array_equal(again.marks, f.marks)
+
+    @pytest.mark.parametrize("header", ["\u0662", "\u00b2"])
+    def test_non_ascii_digit_header(self, header):
+        # Arabic-Indic two passes str.isdigit, superscript two then fails int()
+        with pytest.raises(TruthTableError, match=r"line 1: expected a spin count"):
+            parse_truth_table_text(header + "\n+-+-\n")
+
+    # a UTF-8 superscript two, and a byte that is not UTF-8 at all
+    @pytest.mark.parametrize(
+        "data, where", [(b"2\n++\xc2\xb2+\n", "line 2, column 3"), (b"2\n+\xff-+\n", "line 2, column 2")]
+    )
+    def test_non_ascii_file_reports_position(self, tmp_path, capsys, data, where):
+        table = tmp_path / "f.txt"
+        table.write_bytes(data)
+        with pytest.raises(TruthTableError, match=f"{where}: invalid character"):
+            parse_truth_table(str(table))
+        assert main(["--function", f"file:{table}"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {where}:")
 
     def test_round_trip_all_sizes(self):
         for n in range(1, 11):
@@ -269,6 +288,38 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_parser_built_once(self, monkeypatch, tmp_path, capsys):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        run = ["--n", "3", "--function", "single:5", "--verify"]
+        assert main(run + ["--out", str(tmp_path / "r.json")]) == 0
+        assert main(run + ["--format", "csv", "--out", str(tmp_path / "r.csv")]) == 0
+        assert main(["--bench", "2"]) == 0
+        assert len(built) <= 1
+
+    def test_shared_parser_keeps_no_state(self, tmp_path, capsys):
+        def request():
+            texts = []
+            for fmt in ("json", "csv"):
+                out = tmp_path / f"report.{fmt}"
+                argv = ["--n", "6", "--function", "random", "--seed", "42", "--verify",
+                        "--format", fmt, "--out", str(out)]
+                assert main(argv) == 0
+                texts.append(out.read_bytes())
+            return texts
+
+        first = request()
+        assert main(["--format", "yaml"]) == 1
+        assert main(["--help"]) == 0
+        assert main(["--bench", "2"]) == 0
+        assert request() == first
 
     def test_snr_flag(self, capsys):
         assert main(["--n", "3", "--function", "single:5", "--snr", "--verify"]) == 0

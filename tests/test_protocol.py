@@ -4,12 +4,15 @@ import pytest
 from spinparity import (
     PhaseFunction,
     RunTrace,
+    SignalError,
+    SignalVector,
     SpinSystem,
     brute_parity,
     mark_count,
     projected_call_counts,
     solve_parity,
 )
+from spinparity import protocol
 
 from helpers import function_from_mask, random_function
 
@@ -127,6 +130,36 @@ class TestSignalInvariant:
             n = int(rng.integers(2, 7))
             f = PhaseFunction(n, rng.random(1 << n) < 0.5)
             assert solve_parity(SpinSystem(n), f, threshold=1e-20).parity == brute_parity(f)
+
+    @pytest.mark.parametrize("snr_mode", [False, True])
+    @pytest.mark.parametrize("bad_probe", [0, 1, 4])
+    def test_probe_one_unit_off_raises(self, monkeypatch, snr_mode, bad_probe):
+        # an odd-count table whose solve takes all n = 6 runs, so every probe
+        # index used here is reached
+        rng = np.random.default_rng(160)
+        f = random_function(6, rng)
+        while mark_count(f) % 2 == 0:
+            f = random_function(6, rng)
+        system = SpinSystem(6)
+        assert solve_parity(system, f, snr_mode=snr_mode).uo_calls == 6
+        real = protocol.run_sequence
+        unit = 2.0 / system.dim if snr_mode else 1.0
+        probes = []
+
+        def one_unit_off(system, f, shift, threshold, snr_mode):
+            sig = real(system, f, shift, threshold, snr_mode)
+            if shift is None:
+                return sig
+            probes.append(shift.m)
+            if len(probes) - 1 != bad_probe:
+                return sig
+            amps = (sig.amplitudes[0] + unit,) + sig.amplitudes[1:]
+            return SignalVector(amps, tuple(abs(a) < threshold for a in amps), threshold)
+
+        monkeypatch.setattr(protocol, "run_sequence", one_unit_off)
+        with pytest.raises(SignalError, match="parity walk"):
+            solve_parity(system, f, snr_mode=snr_mode)
+        assert len(probes) == bad_probe + 1
 
 
 class TestProjectedCallCounts:
