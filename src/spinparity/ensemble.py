@@ -18,9 +18,12 @@ longitudinal terms, so spin k's amplitude depends only on the oracle and
 shift phases over spin k's index pairs.  At 90 degrees those phases are
 powers of ``-i`` with exponents ``q``, and a pair ``(r, r + 2^(n-k))`` adds
 ``sin(pi/2 * (q_r - q_{r + 2^(n-k)}))``, which is 0 or +/-1: an exact
-integer readout in O(nN), independent of the polarizations.  The test suite
-checks the pair engine against the integer reference, which it agrees with
-exactly, and against the dense engine, which it agrees with to round-off.
+integer readout in O(nN), independent of the polarizations.  The engine
+holds ``q`` mod 4 as two N-bit bit planes and reads each spin as two
+popcounts over the planes and their ``2^(n-k)``-shifted copies.  The test
+suite checks the pair engine against the integer reference, which it agrees
+with exactly, and against the dense engine, which it agrees with to
+round-off.
 """
 
 from __future__ import annotations
@@ -70,13 +73,13 @@ class SignalVector:
     threshold: float
 
     def __post_init__(self):
-        amps = tuple(float(a) for a in self.amplitudes)
-        flags = tuple(bool(z) for z in self.zero_flags)
+        amps = tuple(map(float, self.amplitudes))
+        flags = tuple(map(bool, self.zero_flags))
         if len(amps) != len(flags):
             raise ValueError("amplitude and flag counts differ")
-        for a, z in zip(amps, flags):
-            if z != (abs(a) < self.threshold):
-                raise ValueError("zero flags inconsistent with threshold")
+        threshold = self.threshold
+        if flags != tuple([abs(a) < threshold for a in amps]):
+            raise ValueError("zero flags inconsistent with threshold")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "zero_flags", flags)
 
@@ -158,13 +161,13 @@ def _check_threshold(threshold: float, snr_mode: bool, N: int) -> None:
         raise ValueError(f"threshold must lie in (0, {unit:g}), got {threshold!r}")
 
 
-def _signal(amps: np.ndarray, N: int, threshold: float, snr_mode: bool) -> SignalVector:
-    """Scale integer-unit amplitudes to the 2/N physical scale in SNR mode
-    and flag the ones below the threshold as zero."""
-    if snr_mode:
-        amps = amps * (2.0 / N)
-    flags = np.abs(amps) < threshold
-    return SignalVector(tuple(amps), tuple(flags), threshold)
+def _signal(amps, N: int, threshold: float, snr_mode: bool) -> SignalVector:
+    """Scale integer-unit amplitudes (any sequence of numbers) to the 2/N
+    physical scale in SNR mode and flag the ones below the threshold as
+    zero."""
+    scale = 2.0 / N if snr_mode else 1.0
+    amps = [a * scale for a in amps]
+    return SignalVector(amps, [abs(a) < threshold for a in amps], threshold)
 
 
 def read_signal(
@@ -320,15 +323,17 @@ def run_sequence(
 
 
 @lru_cache(maxsize=None)
-def _spin_pairs(n: int) -> np.ndarray:
-    """Index pairs of every spin, shape (2, n, N/2): row ``k - 1`` holds the
-    indices ``r`` with bit k = 0 and their partners ``r + 2^(n-k)``."""
-    x = np.arange(1 << n)
-    steps = 1 << np.arange(n - 1, -1, -1)  # 2^(n-k), k = 1..n
-    rows = np.stack([x[(x & step) == 0] for step in steps])
-    pairs = np.stack([rows, rows + steps[:, None]])
-    pairs.setflags(write=False)
-    return pairs
+def _low_masks(n: int) -> tuple:
+    """``(step, low)`` for every spin k = 1..n: its pair step ``2^(n-k)`` and
+    the bitset of the indices whose spin-k bit is 0 (n*N/8 bytes in all)."""
+    N = 1 << n
+    masks = []
+    for k in range(1, n + 1):
+        step = 1 << (n - k)
+        # `step` ones then `step` zeros, repeated N / (2 step) times
+        low = ((1 << N) - 1) // ((1 << 2 * step) - 1) * ((1 << step) - 1)
+        masks.append((step, low))
+    return tuple(masks)
 
 
 def pair_sequence(
@@ -342,22 +347,30 @@ def pair_sequence(
     in exact integers.
 
     At 90 degrees every phase is a power of ``-i``, so the state is held as
-    its quarter-turn exponents ``q``: the oracle adds ``g(x)`` and the shift
-    adds -1 on its block.  An index pair ``(r, c)`` of spin k, c = r +
-    2^(n-k), then adds ``sin(pi/2 * (q_r - q_c))``, which is 0 or +/-1, to
-    that spin's amplitude; the polarization cancels.
+    its quarter-turn exponents ``q`` mod 4, in two bit planes (see
+    ``spinops.apply_diagonal``): the oracle adds ``g(x)`` and the shift adds
+    -1 on its block.  An index pair ``(r, c)`` of spin k, c = r + 2^(n-k),
+    then adds ``sin(pi/2 * (q_r - q_c))`` to that spin's amplitude; the
+    polarization cancels.  The sine is +/-1 exactly when ``q_r`` and ``q_c``
+    differ in bit 0 (``odd``), and -1 when moreover ``q_c = q_r + 1`` mod 4,
+    which on such a pair is bit 1 of ``q_r`` xor bits 1 and 0 of ``q_c``
+    (``neg``).  So ``amp_k = |odd| - 2 |neg|``: two popcounts over the
+    planes and their ``2^(n-k)``-shifted copies.
     """
     if f.n != system.n:
         raise ValueError(f"truth table is for n={f.n}, system has n={system.n}")
     n, N = system.n, system.dim
     _check_threshold(threshold, snr_mode, N)
-    q = np.zeros(N, dtype=np.int8)
-    apply_diagonal(q, f.marks)
+    marks = int.from_bytes(np.packbits(f.marks, bitorder="little").tobytes(), "little")
+    q = apply_diagonal((0, 0), marks, +1)
     if shift is not None:
-        apply_diagonal(q, -1, shift.block(n))
-    rows, cols = _spin_pairs(n)
-    d = q.take(rows)
-    d -= q.take(cols)
-    sines = (d == 1).view(np.int8)
-    sines -= (d == -1).view(np.int8)
-    return _signal(sines.sum(axis=1), N, threshold, snr_mode)
+        block = shift.block(n)
+        q = apply_diagonal(q, (1 << block.stop) - (1 << block.start), -1)
+    q0, q1 = q
+    p = q0 ^ q1
+    amps = []
+    for step, low in _low_masks(n):
+        odd = (q0 ^ (q0 >> step)) & low
+        neg = (q1 ^ (p >> step)) & odd
+        amps.append(odd.bit_count() - 2 * neg.bit_count())
+    return _signal(amps, N, threshold, snr_mode)

@@ -24,6 +24,8 @@ class PhaseFunction:
 
     ``marks[x]`` is True exactly when ``f(x) = -1``; equivalently the binary
     exponent g(x) with ``f(x) = exp(-i pi g(x))`` is 1 there and 0 elsewhere.
+    ``marks`` is a read-only copy of the given table, so neither the caller's
+    array nor a write through ``f.marks`` can change a built function.
     """
 
     n: int
@@ -32,9 +34,10 @@ class PhaseFunction:
     def __post_init__(self):
         if not 1 <= self.n <= DEFAULT_QUBIT_CAP:
             raise ValueError(f"spin count {self.n} outside 1..{DEFAULT_QUBIT_CAP}")
-        m = np.asarray(self.marks, dtype=bool).reshape(-1)
+        m = np.array(self.marks, dtype=bool).reshape(-1)
         if m.shape[0] != 1 << self.n:
             raise ValueError(f"expected {1 << self.n} truth-table entries, got {m.shape[0]}")
+        m.setflags(write=False)
         object.__setattr__(self, "marks", m)
 
     @property

@@ -6,7 +6,8 @@ basis state ``s`` assigns spin ``k`` the bit ``(s >> (n - k)) & 1``, with
 bit 0 corresponding to magnetic quantum number +1/2.  All operators are
 plain complex matrices; diagonal unitaries are stored as phase vectors so
 that conjugation stays O(N^2).  A quarter-turn diagonal unitary acts on a
-state vector held as its quarter-turn exponents by integer addition, O(N).
+state vector held as its quarter-turn exponents mod 4, in two bit planes, by
+a bitwise mod-4 add, O(N/64) machine words.
 """
 
 from __future__ import annotations
@@ -286,10 +287,21 @@ def conjugate(u, state: DeviationState) -> DeviationState:
     raise TypeError(f"cannot conjugate by {type(u).__name__}")
 
 
-def apply_diagonal(q: np.ndarray, e, index=slice(None)) -> None:
-    """Apply a quarter-turn diagonal unitary, in place, to a length-N vector
-    held as its quarter-turn exponents ``q`` (entries ``(-i)**q``): the
-    unitary's exponents ``e`` add to ``q[index]``.  Counted with the
-    diagonal conjugations."""
+def apply_diagonal(q: tuple, e: int, sign: int) -> tuple:
+    """Apply a quarter-turn diagonal unitary to a length-N vector held as its
+    quarter-turn exponents mod 4 (entries ``(-i)**q``), and return the result.
+
+    ``q = (q0, q1)`` are the exponents' two bit planes as Python ints: bit x
+    of ``q0`` (``q1``) is bit 0 (1) of index x's exponent.  The unitary adds
+    ``sign`` (+1 or -1) to the exponent of every index in the bitset ``e``,
+    as a mod-4 add with one carry plane.  Counted with the diagonal
+    conjugations."""
+    q0, q1 = q
+    if sign == 1:
+        q1 ^= q0 & e
+    elif sign == -1:
+        q1 ^= ~q0 & e
+    else:
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     _OP_COUNTS["diagonal"] += 1
-    q[index] += e
+    return q0 ^ e, q1

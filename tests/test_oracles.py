@@ -52,6 +52,16 @@ class TestPhaseFunction:
         with pytest.raises(ValueError):
             PhaseFunction(2, [True, False])
 
+    def test_marks_are_a_read_only_copy(self):
+        arr = np.zeros(8, dtype=bool)
+        f = PhaseFunction(3, arr)
+        arr[5] = True
+        assert not f.marks.any()
+        assert mark_count(f) == 0
+        with pytest.raises(ValueError):
+            f.marks[5] = True
+        assert not f.marks.any()
+
 
 class TestSelectivePhaseShift:
     def test_zero_angle_is_identity(self):

@@ -1,6 +1,8 @@
 """The O(nN) pair engine against the dense reference engine and the integer
 reference, and the work the solver does through it."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,48 @@ def test_equals_integer_reference_exactly(n):
         where = f"n={n} marks={np.flatnonzero(f.marks).tolist()} shift={spec}"
         assert fast.amplitudes == tuple(float(a) for a in brute_shifted_signal(f, spec)), where
         assert fast.zero_flags == run_sequence(system, f, spec).zero_flags, where
+
+
+def _large_cases(n):
+    """Seeded functions from sparse to dense, each with no shift, the edge
+    shifts m = 1 and m = N/2 and a random shift, on both spin-1 branches."""
+    rng = np.random.default_rng(500 + n)
+    half = 1 << (n - 1)
+    for density in (0.02, 0.5, 0.98):
+        f = PhaseFunction(n, rng.random(1 << n) < density)
+        m = int(rng.integers(2, half))
+        yield f, None
+        for size, sign in ((1, 1), (half, -1), (m, 1), (m, -1)):
+            yield f, ShiftSpec(size, sign)
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_equals_integer_reference_exactly_on_large_registers(n):
+    # bit planes of 512 to 4096 bits: many machine words per plane
+    system = SpinSystem(n)
+    for f, spec in _large_cases(n):
+        fast = pair_sequence(system, f, spec)
+        exact = tuple(float(a) for a in brute_shifted_signal(f, spec))
+        where = f"n={n} marks={int(f.marks.sum())} shift={spec}"
+        assert fast.amplitudes == exact, where
+        assert fast.zero_flags == tuple(a == 0 for a in exact), where
+
+
+def test_readout_allocates_no_per_index_arrays():
+    # a run holds two N-bit planes and a few shifted copies (512 B each at
+    # n = 12), no per-index or per-pair arrays
+    n = 12
+    system = SpinSystem(n)
+    f = PhaseFunction(n, np.random.default_rng(414).random(1 << n) < 0.5)
+    spec = ShiftSpec(1234, -1)
+    pair_sequence(system, f, spec)  # build the per-n cache outside the window
+    tracemalloc.start()
+    try:
+        pair_sequence(system, f, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 1024, peak
 
 
 def test_rejects_oversized_shift():

@@ -16,7 +16,7 @@ from spinparity import (
     conjugate,
     spin_operator,
 )
-from spinparity.spinops import STRUCT_TOL
+from spinparity.spinops import STRUCT_TOL, apply_diagonal, op_counts
 
 from helpers import random_deviation_state
 
@@ -220,6 +220,39 @@ class TestConjugate:
         rng = np.random.default_rng(15)
         with pytest.raises(TypeError):
             conjugate(np.eye(4), random_deviation_state(2, rng))
+
+
+@st.composite
+def _diagonal_ops(draw):
+    """A register size and a list of (0/1 bitset, sign) quarter-turn ops."""
+    N = 1 << draw(st.integers(1, 8))
+    bits = st.lists(st.booleans(), min_size=N, max_size=N)
+    ops = draw(st.lists(st.tuples(bits, st.sampled_from((1, -1))), max_size=12))
+    return N, ops
+
+
+class TestApplyDiagonal:
+    @given(_diagonal_ops())
+    def test_matches_integer_sums_mod_4_and_counts_each_call(self, case):
+        N, ops = case
+        q, want = (0, 0), np.zeros(N, dtype=np.int64)
+        for bits, sign in ops:
+            e = sum(1 << x for x, b in enumerate(bits) if b)
+            before = op_counts()["diagonal"]
+            q = apply_diagonal(q, e, sign)
+            assert op_counts()["diagonal"] == before + 1
+            want += sign * np.array(bits, dtype=np.int64)
+        q0, q1 = q
+        got = [((q0 >> x) & 1) + 2 * ((q1 >> x) & 1) for x in range(N)]
+        assert got == (want % 4).tolist()
+        assert q0 >> N == 0 and q1 >> N == 0
+
+    def test_rejects_sign_other_than_one(self):
+        before = op_counts()["diagonal"]
+        for sign in (0, 2, -2):
+            with pytest.raises(ValueError):
+                apply_diagonal((0, 0), 0b1011, sign)
+        assert op_counts()["diagonal"] == before
 
 
 class TestTypeValidation:
