@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .ensemble import run_sequence
+from .ensemble import DEFAULT_THRESHOLD, run_sequence
 from .oracles import PhaseFunction
 from .protocol import solve_parity
 from .reference import reference_report
@@ -88,7 +88,7 @@ class ExperimentConfig:
     seed: int = None
     density: float = 0.5
     epsilon: tuple = None
-    threshold: float = 1e-9
+    threshold: float = DEFAULT_THRESHOLD
     snr: bool = False
     verify: bool = False
 
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="seed for the random source (required with it)")
     p.add_argument("--density", type=float, default=0.5, help="mark density for the random source")
     p.add_argument("--epsilon", help="comma-separated per-spin polarization parameters")
-    p.add_argument("--threshold", type=float, default=1e-9, help="zero-detection threshold")
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD, help="zero-detection threshold")
     p.add_argument("--snr", action="store_true", help="report amplitudes at the 2/N physical scale")
     p.add_argument("--verify", action="store_true", help="cross-check against the brute-force reference")
     p.add_argument("--out", help="write the report to this path instead of stdout")

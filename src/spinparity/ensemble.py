@@ -38,7 +38,6 @@ from .spinops import (
     STRUCT_TOL,
     DeviationState,
     SpinSystem,
-    _popcounts,
     apply_diagonal,
     bit_sign_table,
     conjugate,
@@ -47,6 +46,10 @@ from .spinops import (
 # Evaluating the full product-operator expansion of the oracle-evolved state
 # assembles O(G^2 * n) terms; keep it off the large-register path.
 EXPANSION_QUBIT_CAP = 8
+
+# Zero-detection floor of every readout when none is given: far below the
+# smallest unit, 2/N = 2^-11 at n = 12.
+DEFAULT_THRESHOLD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -125,15 +128,9 @@ def apply_pulse(state: DeviationState, pulse: PulseSpec) -> DeviationState:
 
 @lru_cache(maxsize=None)
 def _zero_order_mask(N: int) -> np.ndarray:
-    pc = _popcounts(N)
+    """True where |r><c| has coherence order 0: r and c have equal popcounts."""
+    pc = np.array([x.bit_count() for x in range(N)])
     mask = pc[None, :] == pc[:, None]
-    mask.setflags(write=False)
-    return mask
-
-
-@lru_cache(maxsize=None)
-def _zero_quantum_mask(N: int) -> np.ndarray:
-    mask = _zero_order_mask(N) & ~np.eye(N, dtype=bool)
     mask.setflags(write=False)
     return mask
 
@@ -148,32 +145,33 @@ def gradient_filter(state: DeviationState) -> DeviationState:
 def zero_quantum_filter(state: DeviationState) -> DeviationState:
     """Cancel the off-diagonal zero-quantum elements; composed with the
     gradient filter this is an exact projection onto the diagonal."""
-    kill = _zero_quantum_mask(state.dim)
-    return DeviationState(np.where(kill, 0.0, state.rho), validate=False)
+    out = np.where(_zero_order_mask(state.dim), 0.0, state.rho)
+    np.fill_diagonal(out, state.rho.diagonal())
+    return DeviationState(out, validate=False)
 
 
-def _check_threshold(threshold: float, snr_mode: bool, N: int) -> None:
-    """A nonzero amplitude is at least one unit (1, or 2/N in SNR mode) in
-    magnitude, so the threshold must lie strictly between 0 and that unit to
-    tell zero from nonzero."""
-    unit = 2.0 / N if snr_mode else 1.0
-    if not 0.0 < threshold < unit:
-        raise ValueError(f"threshold must lie in (0, {unit:g}), got {threshold!r}")
+def signal_unit(N: int, snr_mode: bool) -> float:
+    """Magnitude of one whole amplitude unit: 1, or in SNR mode the ``2/N``
+    minimum nonzero signal."""
+    return 2.0 / N if snr_mode else 1.0
 
 
 def _signal(amps, N: int, threshold: float, snr_mode: bool) -> SignalVector:
-    """Scale integer-unit amplitudes (any sequence of numbers) to the 2/N
-    physical scale in SNR mode and flag the ones below the threshold as
-    zero."""
-    scale = 2.0 / N if snr_mode else 1.0
-    amps = [a * scale for a in amps]
+    """The readout of both engines: scale amplitudes in whole units (any
+    sequence of numbers) by ``signal_unit`` and flag those below the
+    threshold as zero.  A nonzero amplitude is at least one unit, so the
+    threshold must lie strictly between 0 and the unit."""
+    unit = signal_unit(N, snr_mode)
+    if not 0.0 < threshold < unit:
+        raise ValueError(f"threshold must lie in (0, {unit:g}), got {threshold!r}")
+    amps = [a * unit for a in amps]
     return SignalVector(amps, [abs(a) < threshold for a in amps], threshold)
 
 
 def read_signal(
     state: DeviationState,
     system: SpinSystem,
-    threshold: float = 1e-9,
+    threshold: float = DEFAULT_THRESHOLD,
     snr_mode: bool = False,
 ) -> SignalVector:
     """Extract per-spin longitudinal amplitudes from a purged state.
@@ -182,9 +180,8 @@ def read_signal(
     is the integer signal the sequence encodes.  In SNR mode amplitudes are
     rescaled by 2/N to the physically detectable magnitude and the given
     threshold acts as the detection floor; it must lie in (0, unit), see
-    ``_check_threshold``.
+    ``signal_unit``.
     """
-    _check_threshold(threshold, snr_mode, system.dim)
     if state.dim != system.dim:
         raise ValueError(f"dimension mismatch: {state.dim} vs {system.dim}")
     magnitudes = np.abs(state.rho)
@@ -305,7 +302,7 @@ def run_sequence(
     system: SpinSystem,
     f: PhaseFunction,
     shift: ShiftSpec = None,
-    threshold: float = 1e-9,
+    threshold: float = DEFAULT_THRESHOLD,
     snr_mode: bool = False,
 ) -> SignalVector:
     """Full sequence: evolve, purge, and read the per-spin amplitudes.
@@ -340,7 +337,7 @@ def pair_sequence(
     system: SpinSystem,
     f: PhaseFunction,
     shift: ShiftSpec = None,
-    threshold: float = 1e-9,
+    threshold: float = DEFAULT_THRESHOLD,
     snr_mode: bool = False,
 ) -> SignalVector:
     """Same readout as ``run_sequence`` in O(nN), without the density matrix,
@@ -360,7 +357,6 @@ def pair_sequence(
     if f.n != system.n:
         raise ValueError(f"truth table is for n={f.n}, system has n={system.n}")
     n, N = system.n, system.dim
-    _check_threshold(threshold, snr_mode, N)
     marks = int.from_bytes(np.packbits(f.marks, bitorder="little").tobytes(), "little")
     q = apply_diagonal((0, 0), marks, +1)
     if shift is not None:

@@ -34,7 +34,10 @@ class PhaseFunction:
     def __post_init__(self):
         if not 1 <= self.n <= DEFAULT_QUBIT_CAP:
             raise ValueError(f"spin count {self.n} outside 1..{DEFAULT_QUBIT_CAP}")
-        m = np.array(self.marks, dtype=bool).reshape(-1)
+        m = np.asarray(self.marks).reshape(-1)
+        if m.dtype != bool and not np.all((m == 0) | (m == 1)):
+            raise ValueError("truth-table entries must be bools or 0/1 marks")
+        m = m.astype(bool)
         if m.shape[0] != 1 << self.n:
             raise ValueError(f"expected {1 << self.n} truth-table entries, got {m.shape[0]}")
         m.setflags(write=False)

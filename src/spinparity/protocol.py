@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .ensemble import DEFAULT_THRESHOLD, signal_unit
+
 # Bound under the dense engine's name: the benchmark's tracer wraps
 # ``protocol.run_sequence`` as the sequence run the solver reaches.
 from .ensemble import pair_sequence as run_sequence
@@ -72,7 +74,7 @@ class RunTrace:
 def solve_parity(
     system: SpinSystem,
     f: PhaseFunction,
-    threshold: float = 1e-9,
+    threshold: float = DEFAULT_THRESHOLD,
     snr_mode: bool = False,
 ) -> RunTrace:
     """Determine the parity of ``f`` in at most ``n`` sequence runs.
@@ -102,7 +104,7 @@ def solve_parity(
                         f"no zero signal; bracketing spin 1 with branch sign {sign:+d}")
     )
 
-    unit = 2.0 / system.dim if snr_mode else 1.0
+    unit = signal_unit(system.dim, snr_mode)
     base = round(sig.amplitudes[0] / unit)
     lo, hi = 0, half
     m_star = None

@@ -2,8 +2,8 @@
 
 Every function here iterates over the full truth table with plain Python
 integer arithmetic, deliberately O(N * n), and shares no matrix code with
-the simulator.  The only shared structure is the bit-sign table, which is
-itself validated two ways in the algebra layer.
+the simulator: it computes its own bit signs and takes only the
+``PhaseFunction`` and ``ShiftSpec`` inputs from it.
 """
 
 from __future__ import annotations

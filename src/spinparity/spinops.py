@@ -161,7 +161,8 @@ class DeviationState:
 
 @dataclass(frozen=True)
 class BitSignTable:
-    """The +/-1 encoding of basis-index bits, one row per spin.
+    """The +/-1 encoding of basis-index bits, one row per spin, built from
+    ``n`` alone.
 
     ``values[k-1, s]`` is +1 exactly when bit ``k`` of index ``s`` is 0
     (spin 1 = most significant bit), so ``diag(1/2 + a/2, 1/2 - a/2)`` is
@@ -170,24 +171,13 @@ class BitSignTable:
     """
 
     n: int
-    values: np.ndarray = field(default=None)
+    values: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("spin count must be >= 1")
-        v = self.values
-        if v is None:
-            N = 1 << self.n
-            s = np.arange(N)
-            v = np.array([1 - 2 * ((s >> (self.n - k)) & 1) for k in range(1, self.n + 1)],
-                         dtype=np.int64)
-        v = np.asarray(v)
-        if v.shape != (self.n, 1 << self.n):
-            raise ValueError(f"expected shape {(self.n, 1 << self.n)}, got {v.shape}")
-        if not np.all(np.abs(v) == 1):
-            raise ValueError("table entries must be +1 or -1")
-        if np.any(v.sum(axis=1) != 0):
-            raise ValueError("each spin's row must be balanced between +1 and -1")
+        shifts = np.arange(self.n - 1, -1, -1)[:, None]  # n - k for k = 1..n
+        v = 1 - 2 * ((np.arange(1 << self.n) >> shifts) & 1)
         object.__setattr__(self, "values", v)
 
     @property
@@ -245,11 +235,6 @@ def basis_projector_product(table: BitSignTable, s: int) -> Operator:
         a = table.sign(k, s)
         diag = np.kron(diag, np.array([0.5 + 0.5 * a, 0.5 - 0.5 * a], dtype=complex))
     return Operator(np.diag(diag))
-
-
-@lru_cache(maxsize=None)
-def _popcounts(N: int) -> np.ndarray:
-    return np.array([int(x).bit_count() for x in range(N)], dtype=np.int64)
 
 
 def coherence_order(r: int, c: int) -> int:

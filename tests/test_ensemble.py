@@ -15,6 +15,7 @@ from spinparity import (
     brute_shifted_signal,
     brute_shift_sums,
     brute_spin_sums,
+    coherence_order,
     conjugate,
     evolved_purged_state,
     gradient_filter,
@@ -178,6 +179,21 @@ class TestPurgeFilters:
             assert np.array_equal(purged, np.diag(np.diag(state.rho)))
             swapped = gradient_filter(zero_quantum_filter(state)).rho
             assert np.array_equal(swapped, purged)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_filters_select_by_scalar_coherence_order(self, n):
+        # every element of a random state is nonzero, so each kept or
+        # cancelled element shows; the masks must agree with coherence_order
+        state = random_deviation_state(n, np.random.default_rng(56 + n))
+        rho = state.rho
+        grad = gradient_filter(state).rho
+        zq = zero_quantum_filter(state).rho
+        N = 1 << n
+        for r in range(N):
+            for c in range(N):
+                zero_order = coherence_order(r, c) == 0
+                assert grad[r, c] == (rho[r, c] if zero_order else 0.0)
+                assert zq[r, c] == (0.0 if zero_order and r != c else rho[r, c])
 
     def test_purge_idempotent(self):
         rng = np.random.default_rng(55)

@@ -52,6 +52,21 @@ class TestPhaseFunction:
         with pytest.raises(ValueError):
             PhaseFunction(2, [True, False])
 
+    def test_entries_other_than_bools_or_0_1_rejected(self):
+        # read as 8 marks, the +/-1 value table would make both solvers
+        # answer +1 for this function of parity -1
+        tables = [PhaseFunction.single(3, 5).values()]
+        tables += [[bad] + [0] * 7 for bad in (2, -1, 0.3, float("nan"))]
+        for table in tables:
+            with pytest.raises(ValueError, match="bools or 0/1"):
+                PhaseFunction(3, table)
+
+    def test_integer_marks_equal_bool_marks(self):
+        ints = [0, 1, 1, 0, 0, 0, 1, 0]
+        f = PhaseFunction(3, np.array(ints))
+        assert f.marks.dtype == bool
+        assert np.array_equal(f.marks, PhaseFunction(3, [x == 1 for x in ints]).marks)
+
     def test_marks_are_a_read_only_copy(self):
         arr = np.zeros(8, dtype=bool)
         f = PhaseFunction(3, arr)

@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinparity import (
-    BitSignTable,
     DeviationState,
     DiagonalUnitary,
     Operator,
@@ -108,10 +107,6 @@ class TestBitSignTable:
         t = bit_sign_table(n)
         assert np.all(t.values.sum(axis=1) == 0)
         assert np.all(np.abs(t.values) == 1)
-
-    def test_construction_rejects_unbalanced(self):
-        with pytest.raises(ValueError):
-            BitSignTable(1, np.array([[1, 1]]))
 
 
 class TestBasisProjector:
