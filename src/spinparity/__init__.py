@@ -13,26 +13,17 @@ from .ensemble import (
     evolved_purged_state,
     gradient_filter,
     initial_state,
-    oracle_conjugation_expansion,
-    oracle_evolution_expansion,
     read_signal,
     run_sequence,
-    selective_conjugation_expansion,
     zero_quantum_filter,
 )
 from .oracles import (
-    CompiledShift,
-    Factor,
     PhaseFunction,
     ShiftSpec,
-    block_phase_shift,
     mark_count,
     phase_oracle,
-    selective_phase_shift,
     shift_index_set,
-    shift_unitary_compiled,
     shift_unitary_direct,
-    sign_oracle,
 )
 from .protocol import IterationRecord, RunTrace, SignalError, projected_call_counts, solve_parity
 from .reference import (
@@ -49,11 +40,22 @@ from .spinops import (
     DiagonalUnitary,
     Operator,
     SpinSystem,
+    bit_sign_table,
+    conjugate,
+)
+from .verification import (
+    CompiledShift,
+    Factor,
     basis_projector,
     basis_projector_product,
-    bit_sign_table,
+    block_phase_shift,
     coherence_order,
-    conjugate,
+    oracle_conjugation_expansion,
+    oracle_evolution_expansion,
+    selective_conjugation_expansion,
+    selective_phase_shift,
+    shift_unitary_compiled,
+    sign_oracle,
     spin_operator,
 )
 

@@ -1,6 +1,7 @@
 """Ensemble dynamics: initial deviation state, hard pulses, the two-stage
-purge filter, signal readout, and closed-form evaluators that cross-check the
-matrix pipeline term by term.
+purge filter, the readout rule, and the two engines that run the sequence.
+The closed-form conjugation and evolution expansions that cross-check the
+dense pipeline term by term live in ``verification``.
 
 The sequence is: transverse initial state -> phase oracle at 90 degrees ->
 optional offset shift -> hard 90-degree y pulse on all spins -> gradient
@@ -42,10 +43,6 @@ from .spinops import (
     bit_sign_table,
     conjugate,
 )
-
-# Evaluating the full product-operator expansion of the oracle-evolved state
-# assembles O(G^2 * n) terms; keep it off the large-register path.
-EXPANSION_QUBIT_CAP = 8
 
 # Zero-detection floor of every readout when none is given: far below the
 # smallest unit, 2/N = 2^-11 at n = 12.
@@ -187,7 +184,7 @@ def read_signal(
     magnitudes = np.abs(state.rho)
     np.fill_diagonal(magnitudes, 0.0)
     worst = magnitudes.max()
-    if worst > STRUCT_TOL:
+    if not worst <= STRUCT_TOL:
         raise ValueError(
             f"readout requires a purged (diagonal) state; off-diagonal max {worst:.3e}"
         )
@@ -195,92 +192,6 @@ def read_signal(
     table = bit_sign_table(system.n)
     amps = table.values @ d / np.asarray(system.epsilon)
     return _signal(amps, system.dim, threshold, snr_mode)
-
-
-def selective_conjugation_expansion(state: DeviationState, s: int, theta: float) -> DeviationState:
-    """Closed-form conjugation by a single selective phase shift: identity
-    minus anticommutator, plus commutator and sandwich terms.  Equals direct
-    conjugation exactly."""
-    N = state.dim
-    if not 0 <= s < N:
-        raise IndexError(f"basis index {s} outside 0..{N - 1}")
-    d = np.zeros(N)
-    d[s] = 1.0
-    return _phase_projector_expansion(state, d, theta)
-
-
-def oracle_conjugation_expansion(state: DeviationState, f: PhaseFunction, theta: float) -> DeviationState:
-    """Closed-form conjugation by the phase oracle, with the marked-index
-    indicator playing the projector weight and the sandwich term carrying the
-    double sum over marked index pairs."""
-    if f.dim != state.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {state.dim}")
-    return _phase_projector_expansion(state, f.exponents().astype(float), theta)
-
-
-def _phase_projector_expansion(state: DeviationState, d: np.ndarray, theta: float) -> DeviationState:
-    one_minus_cos = 1.0 - np.cos(theta)
-    sin = np.sin(theta)
-    sandwich = one_minus_cos**2 + sin**2
-    dr, dc = d[:, None], d[None, :]
-    factor = 1.0 - one_minus_cos * (dr + dc) + 1j * sin * (dc - dr) + sandwich * dr * dc
-    return DeviationState(factor * state.rho)
-
-
-def oracle_evolution_expansion(system: SpinSystem, f: PhaseFunction, theta: float) -> DeviationState:
-    """Product-operator expansion of the oracle-evolved transverse state.
-
-    Sums four groups of terms: the untouched initial state, the
-    anticommutator terms (one per marked index and spin, keeping the y
-    component), the sine terms (same support, rotated to x with the bit
-    sign), and the quadratic double sum over ordered marked pairs.  The
-    projector contexts collapse each term onto a single bit-flip index pair:
-    a quadratic term survives only when the two marked indices differ at
-    exactly one bit, and the linear terms address the pair obtained by
-    toggling the term's spin.  Matches direct conjugation exactly.
-    """
-    if system.n > EXPANSION_QUBIT_CAP:
-        raise ValueError(
-            f"expansion is capped at {EXPANSION_QUBIT_CAP} spins (term count grows "
-            f"as G^2 * n), got n={system.n}"
-        )
-    if f.n != system.n:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {system.dim}")
-    n, N = system.n, system.dim
-    eps = system.epsilon
-    one_minus_cos = 1.0 - np.cos(theta)
-    sin = np.sin(theta)
-    quad = one_minus_cos**2 + sin**2
-
-    rho = initial_state(system).rho.copy()
-    marked = np.flatnonzero(f.marks)
-    table = bit_sign_table(n)
-
-    for s in marked:
-        for k in range(1, n + 1):
-            bitmask = 1 << (n - k)
-            r, c = int(s) & ~bitmask, int(s) | bitmask
-            e = eps[k - 1]
-            # anticommutator term: coefficient -(1 - cos) on the y component
-            rho[r, c] += -one_minus_cos * e * (-0.5j)
-            rho[c, r] += -one_minus_cos * e * (+0.5j)
-            # sine term: coefficient -sin * a_k^s on the x component
-            a = table.sign(k, s)
-            rho[r, c] += -sin * e * a * 0.5
-            rho[c, r] += -sin * e * a * 0.5
-    for i, s in enumerate(marked):
-        for t in marked[i + 1 :]:
-            diff = int(s) ^ int(t)
-            if diff & (diff - 1):
-                # contexts differ on more than one spin: every tensor factor
-                # chain contains a vanishing projector product
-                continue
-            k = n - diff.bit_length() + 1
-            e = eps[k - 1]
-            r, c = int(min(s, t)), int(max(s, t))
-            rho[r, c] += quad * e * (-0.5j)
-            rho[c, r] += quad * e * (+0.5j)
-    return DeviationState(rho)
 
 
 def evolved_purged_state(system: SpinSystem, f: PhaseFunction, shift: ShiftSpec = None) -> DeviationState:

@@ -1,12 +1,14 @@
-"""Diagonal unitaries: selective phase shifts, truth-table oracles, and the
-compiled offset shifts used by the parity search.
+"""Truth tables, their phase oracle, and the offset shift used by the parity
+search.
 
 A Boolean phase function marks a subset of basis indices with -1; its oracle
 is the diagonal unitary applying that sign (or a general phase angle) to the
 marked indices.  The offset shift is a known, non-oracle diagonal unitary
 phasing a contiguous block of indices chosen so that all members share the
-sign of spin 1's bit; it is constructed both directly and as a short product
-of nonselective block shifts conjugated by bit flips.
+sign of spin 1's bit; it is built here directly, one selective shift per
+block member.  Its compiled form, a short product of nonselective block
+shifts conjugated by bit flips, lives in ``verification`` with the
+selective, sign and block shifts, which only the tests use.
 """
 
 from __future__ import annotations
@@ -96,22 +98,6 @@ def mark_count(f: PhaseFunction) -> int:
     return int(f.marks.sum())
 
 
-def selective_phase_shift(n: int, s: int, theta: float) -> DiagonalUnitary:
-    """Diagonal unitary phasing basis index ``s`` by exp(-i theta), leaving
-    every other index untouched."""
-    N = 1 << n
-    if not 0 <= s < N:
-        raise IndexError(f"basis index {s} outside 0..{N - 1}")
-    p = np.ones(N, dtype=complex)
-    p[s] = np.exp(-1j * theta)
-    return DiagonalUnitary(p)
-
-
-def sign_oracle(f: PhaseFunction) -> DiagonalUnitary:
-    """Oracle applying the sign f(x) to each basis index; squares to identity."""
-    return DiagonalUnitary(f.values().astype(complex))
-
-
 def phase_oracle(f: PhaseFunction, theta: float) -> DiagonalUnitary:
     """Generalized oracle with phases exp(-i theta g(x)); reduces to the sign
     oracle at theta = pi."""
@@ -135,6 +121,8 @@ class ShiftSpec:
             raise ValueError("sign must be +1 or -1")
         if not isinstance(self.m, (int, np.integer)) or self.m < 1:
             raise ValueError(f"shift size must be a positive integer, got {self.m!r}")
+        # a numpy size would carry int64 into the big-integer shift bitset
+        object.__setattr__(self, "m", int(self.m))
 
     def validate(self, n: int) -> None:
         if self.m > 1 << (n - 1):
@@ -164,84 +152,9 @@ def shift_index_set(spec: ShiftSpec, n: int) -> np.ndarray:
     return np.arange(block.start, block.stop)
 
 
-def block_phase_shift(n: int, width: int, theta: float) -> DiagonalUnitary:
-    """Nonselective shift phasing every index whose first ``width`` bits are
-    zero, i.e. the projector onto the all-up subcube of the leading spins."""
-    if not 1 <= width <= n:
-        raise ValueError(f"block width {width} outside 1..{n}")
-    N = 1 << n
-    p = np.ones(N, dtype=complex)
-    p[: 1 << (n - width)] = np.exp(-1j * theta)
-    return DiagonalUnitary(p)
-
-
 def shift_unitary_direct(spec: ShiftSpec, n: int) -> DiagonalUnitary:
     """Offset unitary as the literal product of ``m`` selective shifts at
     angle -pi/2, one per index in the canonical set."""
     p = np.ones(1 << n, dtype=complex)
     p[shift_index_set(spec, n)] = np.exp(0.5j * np.pi)
     return DiagonalUnitary(p)
-
-
-@dataclass(frozen=True)
-class Factor:
-    """One factor of the compiled offset circuit.
-
-    ``kind`` is 'block' (nonselective shift, ``arg`` = width, with ``angle``)
-    or 'flip'/'unflip' (pi rotation about x on spin ``arg``, realized on
-    diagonal phase vectors as a bit permutation with global phase -/+ i).
-    """
-
-    kind: str
-    arg: int
-    angle: float = 0.0
-
-
-@dataclass(frozen=True)
-class CompiledShift:
-    unitary: DiagonalUnitary
-    factors: tuple
-
-
-def shift_unitary_compiled(spec: ShiftSpec, n: int) -> CompiledShift:
-    """Offset unitary compiled into block shifts and single-spin pi flips.
-
-    One block of width ``n - k`` per set bit ``2**k`` of ``m``, each block
-    after the first conjugated by the accumulated bit flips; zero bits of
-    ``m`` contribute nothing (their zero-angle block and flips are skipped).
-    The factor count is at most ``3n + 1`` and the result equals the direct
-    product exactly, including global phase.
-    """
-    spec.validate(n)
-    factors = []
-    if spec.sign < 0:
-        factors.append(Factor("flip", 1))
-    set_bits = spec.bits
-    for i, k in enumerate(set_bits):
-        factors.append(Factor("block", n - k, -0.5 * np.pi))
-        if i + 1 < len(set_bits):
-            factors.append(Factor("flip", n - k))
-    for k in set_bits[-2::-1]:
-        factors.append(Factor("unflip", n - k))
-    if spec.sign < 0:
-        factors.append(Factor("unflip", 1))
-
-    # Fold the product left to right, normal-ordering every permutation to
-    # the left: the running product is  phase * P_mask * diag(d).
-    N = 1 << n
-    phase = 1.0 + 0.0j
-    mask = 0
-    diag = np.ones(N, dtype=complex)
-    idx = np.arange(N)
-    for fac in factors:
-        if fac.kind == "block":
-            diag = diag * block_phase_shift(n, fac.arg, fac.angle).phases
-        else:
-            bitmask = 1 << (n - fac.arg)
-            # P_mask * D * X_j  ==  P_(mask^j) * diag(d flipped at bit j)
-            mask ^= bitmask
-            diag = diag[idx ^ bitmask]
-            phase *= -1.0j if fac.kind == "flip" else 1.0j
-    if mask != 0:
-        raise AssertionError("compiled flips do not cancel; construction bug")
-    return CompiledShift(DiagonalUnitary(phase * diag), tuple(factors))

@@ -1,4 +1,4 @@
-"""Dense spin-1/2 algebra on computational-basis indices.
+"""Register, state and phase types, and the unitary conjugation they run.
 
 Everything here works on a register of ``n`` work spins with dimension
 ``N = 2**n``.  Spin 1 owns the most significant bit of a basis index, so
@@ -7,7 +7,9 @@ bit 0 corresponding to magnetic quantum number +1/2.  All operators are
 plain complex matrices; diagonal unitaries are stored as phase vectors so
 that conjugation stays O(N^2).  A quarter-turn diagonal unitary acts on a
 state vector held as its quarter-turn exponents mod 4, in two bit planes, by
-a bitwise mod-4 add, O(N/64) machine words.
+a bitwise mod-4 add, O(N/64) machine words.  The single-spin operators,
+basis projectors and scalar coherence order that tests build their targets
+from live in ``verification``.
 """
 
 from __future__ import annotations
@@ -24,12 +26,6 @@ STRUCT_TOL = 1e-12
 # Dense-matrix size guard: N^2 complex entries, so n = 12 is ~268 MB per
 # matrix.  A hard error beats silent truncation.
 DEFAULT_QUBIT_CAP = 12
-
-_HALF_SIGMA = {
-    "x": 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": 0.5 * np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": 0.5 * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 # Instrumentation, read by the benchmark to confirm the elementwise paths are
 # what actually runs.  Diagnostic only; not part of any numeric result.
@@ -66,6 +62,8 @@ class SpinSystem:
             raise ValueError(f"spin count must be a positive integer, got {self.n!r}")
         if self.n > DEFAULT_QUBIT_CAP:
             raise ValueError(f"n={self.n} exceeds the dense-matrix cap of {DEFAULT_QUBIT_CAP}")
+        # a numpy size would make every ``1 << n`` downstream wrap in int64
+        object.__setattr__(self, "n", int(self.n))
         eps = self.epsilon
         if eps is None:
             eps = (1.0,) * self.n
@@ -110,7 +108,7 @@ class DiagonalUnitary:
     def __post_init__(self):
         p = np.asarray(self.phases, dtype=complex).reshape(-1)
         err = np.abs(np.abs(p) - 1.0).max()
-        if err > STRUCT_TOL:
+        if not err <= STRUCT_TOL:
             raise ValueError(f"phases deviate from unit modulus by {err:.3e}")
         object.__setattr__(self, "phases", p)
 
@@ -147,10 +145,10 @@ class DeviationState:
             raise ValueError(f"state must be square, got shape {m.shape}")
         if validate:
             herm = np.abs(m - m.conj().T).max()
-            if herm > STRUCT_TOL:
+            if not herm <= STRUCT_TOL:
                 raise ValueError(f"state deviates from Hermitian by {herm:.3e}")
             tr = abs(m.trace())
-            if tr > STRUCT_TOL:
+            if not tr <= STRUCT_TOL:
                 raise ValueError(f"deviation state must be traceless, |trace| = {tr:.3e}")
         object.__setattr__(self, "rho", m)
 
@@ -195,55 +193,6 @@ def bit_sign_table(n: int) -> BitSignTable:
     t = BitSignTable(n=n)
     t.values.setflags(write=False)
     return t
-
-
-def spin_operator(n: int, k: int, axis: str) -> Operator:
-    """Single-spin angular momentum component embedded in the register.
-
-    Returns ``E (x) ... (x) sigma_axis/2 (x) ... (x) E`` with the nontrivial
-    factor at slot ``k`` (slot 1 leftmost / most significant).  Hermitian
-    with eigenvalues +/-1/2.
-    """
-    if not 1 <= k <= n:
-        raise IndexError(f"spin index {k} outside 1..{n}")
-    if axis not in _HALF_SIGMA:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    m = np.array([[1.0 + 0.0j]])
-    for j in range(1, n + 1):
-        m = np.kron(m, _HALF_SIGMA[axis] if j == k else np.eye(2, dtype=complex))
-    return Operator(m)
-
-
-def basis_projector(n: int, s: int) -> Operator:
-    """Diagonal projector onto computational basis index ``s``."""
-    N = 1 << n
-    if not 0 <= s < N:
-        raise IndexError(f"basis index {s} outside 0..{N - 1}")
-    d = np.zeros(N, dtype=complex)
-    d[s] = 1.0
-    return Operator(np.diag(d))
-
-
-def basis_projector_product(table: BitSignTable, s: int) -> Operator:
-    """Same projector assembled as the tensor product of per-spin factors
-    ``(E/2 + a_k I_kz)``, with ``a_k`` read from the bit-sign table."""
-    N = table.dim
-    if not 0 <= s < N:
-        raise IndexError(f"basis index {s} outside 0..{N - 1}")
-    diag = np.array([1.0 + 0.0j])
-    for k in range(1, table.n + 1):
-        a = table.sign(k, s)
-        diag = np.kron(diag, np.array([0.5 + 0.5 * a, 0.5 - 0.5 * a], dtype=complex))
-    return Operator(np.diag(diag))
-
-
-def coherence_order(r: int, c: int) -> int:
-    """Coherence order of the matrix element |r><c|.
-
-    Difference of total magnetic quantum numbers under the bit-0 <-> m=+1/2
-    convention, i.e. ``popcount(c) - popcount(r)``.
-    """
-    return int(c).bit_count() - int(r).bit_count()
 
 
 def conjugate(u, state: DeviationState) -> DeviationState:

@@ -1,0 +1,74 @@
+"""Inputs that used to pass validation and give silently wrong results:
+numpy integer sizes, and NaN entries in the structural checks."""
+
+import numpy as np
+import pytest
+
+from spinparity import (
+    DeviationState,
+    DiagonalUnitary,
+    PhaseFunction,
+    ShiftSpec,
+    SpinSystem,
+    brute_parity,
+    brute_shifted_signal,
+    read_signal,
+    shift_unitary_compiled,
+    shift_unitary_direct,
+    solve_parity,
+)
+from spinparity.ensemble import pair_sequence
+
+
+class TestNumpyIntegerSizes:
+    def test_sizes_stored_as_python_ints(self):
+        assert type(SpinSystem(np.int64(6)).n) is int
+        assert type(ShiftSpec(np.int64(3), -1).m) is int
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_solve_parity_matches_brute_force(self, n):
+        system = SpinSystem(np.int64(n))
+        for seed in range(5):
+            f = PhaseFunction.random(n, 0.5, seed=100 * n + seed)
+            assert solve_parity(system, f).parity == brute_parity(f), f"n={n} seed={seed}"
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_pair_engine_matches_integer_reference(self, n):
+        rng = np.random.default_rng(700 + n)
+        system = SpinSystem(n)
+        for _ in range(4):
+            f = PhaseFunction.random(n, 0.5, seed=int(rng.integers(1 << 30)))
+            m, sign = int(rng.integers(1, (1 << (n - 1)) + 1)), int(rng.choice((1, -1)))
+            got = pair_sequence(system, f, ShiftSpec(np.int64(m), sign)).amplitudes
+            assert got == brute_shifted_signal(f, ShiftSpec(m, sign)), f"n={n} m={m} sign={sign}"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_compiled_shift_matches_direct(self, n):
+        for m in range(1, (1 << (n - 1)) + 1):
+            for sign in (1, -1):
+                compiled = shift_unitary_compiled(ShiftSpec(np.int64(m), sign), n).unitary
+                direct = shift_unitary_direct(ShiftSpec(m, sign), n)
+                np.testing.assert_array_equal(compiled.phases, direct.phases)
+
+
+class TestNaNRejected:
+    @pytest.mark.parametrize("phases", [[np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan]])
+    def test_diagonal_unitary(self, phases):
+        with pytest.raises(ValueError, match="unit modulus"):
+            DiagonalUnitary(phases)
+
+    def test_deviation_state_all_nan(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            DeviationState(np.full((4, 4), np.nan))
+
+    def test_deviation_state_one_nan_population(self):
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0] = np.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            DeviationState(rho)
+
+    def test_read_signal_nan_off_diagonal(self):
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[1, 2] = rho[2, 1] = np.nan
+        with pytest.raises(ValueError, match="purged"):
+            read_signal(DeviationState(rho, validate=False), SpinSystem(2))
