@@ -98,35 +98,70 @@ def initial_state(system: SpinSystem) -> DeviationState:
     return DeviationState(rho, validate=False)
 
 
-def _rot2(axis: str, angle: float) -> np.ndarray:
-    c, s = np.cos(0.5 * angle), np.sin(0.5 * angle)
-    if axis == "y":
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
 def apply_pulse(state: DeviationState, pulse: PulseSpec) -> DeviationState:
     """Conjugate by the hard-pulse rotation ``R^(x)n = A (x) B``, with ``A``
-    on the high ``n // 2`` spins and ``B`` on the rest: four contractions
-    with the two small factors, written into one new N x N array."""
+    on the high ``n // 2`` spins and ``B`` on the rest, written into one new
+    N x N array.
+
+    Both factors are the real y rotation ``[[c, -s], [s, c]]`` to the
+    Kronecker power, so three of the four legs (the row legs of both factors
+    and the column legs of ``A``) run as float64 matmuls on the state's
+    float view, with the real and imaginary parts riding along as an extra
+    column axis.  Only the column legs of ``B`` contract the innermost
+    complex axis and stay a complex matmul.  An x pulse reuses the same
+    kernel through ``R_x = D R_y D^dagger`` with ``D = diag(1, -i)`` on every
+    spin: the state takes the phase ``i^(popcount(r) - popcount(c))`` before
+    the y rotation and its inverse after, at the cost of one more N x N
+    array for the phased input.
+    """
     N = state.dim
     n = N.bit_length() - 1
-    r = _rot2(pulse.axis, pulse.angle)
+    c, s = np.cos(0.5 * pulse.angle), np.sin(0.5 * pulse.angle)
+    r = np.array([[c, -s], [s, c]])
     a = reduce(np.kron, [r] * (n // 2), np.eye(1))
     b = reduce(np.kron, [r] * (n - n // 2), np.eye(1))
     da, db = len(a), len(b)
-    t = a @ state.rho.reshape(da, -1)  # row legs of the high spins
-    for blk in t.reshape(da, db, N):  # row legs of the low spins
+    rho = np.ascontiguousarray(state.rho)
+    if pulse.axis == "x":
+        d = _x_phase(N)  # D^(x)n as a vector: (-i)^popcount
+        rho = rho * d.conj()[:, None]
+        rho *= d
+    t = np.empty((N, N), dtype=complex)
+    tf = t.view(np.float64)  # (N, 2N): re and im of each column side by side
+    np.matmul(a, rho.view(np.float64).reshape(da, -1), out=tf.reshape(da, -1))  # row legs of A
+    for blk in tf.reshape(da, db, 2 * N):  # row legs of B
         blk[...] = b @ blk
-    for rows in t.reshape(db, da, da, db):  # column legs
-        rows[...] = a.conj() @ rows @ b.conj().T
-    return DeviationState(t.reshape(N, N), validate=False)
+    bt = b.T.astype(complex)
+    buf = np.empty((da, da, 2 * db))  # one chunk of da rows, reused
+    for rows in t.reshape(db, da, da, db):  # column legs, da rows at a time
+        np.matmul(a, rows.view(np.float64), out=buf)
+        np.matmul(buf.view(complex).reshape(-1, db), bt, out=rows.reshape(-1, db))
+    if pulse.axis == "x":
+        t *= d[:, None]
+        t *= d.conj()
+    return DeviationState(t, validate=False)
+
+
+@lru_cache(maxsize=None)
+def _popcounts(N: int) -> np.ndarray:
+    """popcount(x) for x = 0..N-1 (read-only)."""
+    pc = np.array([x.bit_count() for x in range(N)])
+    pc.setflags(write=False)
+    return pc
+
+
+@lru_cache(maxsize=None)
+def _x_phase(N: int) -> np.ndarray:
+    """The diagonal of ``diag(1, -i)`` on every spin: ``(-i)^popcount(x)``."""
+    d = np.array([1, -1j, -1, 1j])[_popcounts(N) % 4]
+    d.setflags(write=False)
+    return d
 
 
 @lru_cache(maxsize=None)
 def _zero_order_mask(N: int) -> np.ndarray:
     """True where |r><c| has coherence order 0: r and c have equal popcounts."""
-    pc = np.array([x.bit_count() for x in range(N)])
+    pc = _popcounts(N)
     mask = pc[None, :] == pc[:, None]
     mask.setflags(write=False)
     return mask
@@ -165,6 +200,20 @@ def _signal(amps, N: int, threshold: float, snr_mode: bool) -> SignalVector:
     return SignalVector(amps, [abs(a) < threshold for a in amps], threshold)
 
 
+def _off_diagonal_max(rho: np.ndarray) -> float:
+    """max |rho[r, c]| over r != c (NaN if any is NaN), one block of rows at
+    a time, so no N x N copy is made."""
+    N = len(rho)
+    h = min(N, max(1, (1 << 16) // N))  # rows per block, a power of 2 dividing N
+    mag = np.empty((h, N))
+    worst = 0.0
+    for i in range(0, N, h):
+        np.abs(rho[i : i + h], out=mag)
+        mag.reshape(-1)[i :: N + 1] = 0.0  # the diagonal entries of this block
+        worst = np.maximum(worst, mag.max())
+    return worst
+
+
 def read_signal(
     state: DeviationState,
     system: SpinSystem,
@@ -181,9 +230,7 @@ def read_signal(
     """
     if state.dim != system.dim:
         raise ValueError(f"dimension mismatch: {state.dim} vs {system.dim}")
-    magnitudes = np.abs(state.rho)
-    np.fill_diagonal(magnitudes, 0.0)
-    worst = magnitudes.max()
+    worst = _off_diagonal_max(state.rho)
     if not worst <= STRUCT_TOL:
         raise ValueError(
             f"readout requires a purged (diagonal) state; off-diagonal max {worst:.3e}"
@@ -238,8 +285,11 @@ def _low_masks(n: int) -> tuple:
     masks = []
     for k in range(1, n + 1):
         step = 1 << (n - k)
-        # `step` ones then `step` zeros, repeated N / (2 step) times
-        low = ((1 << N) - 1) // ((1 << 2 * step) - 1) * ((1 << step) - 1)
+        # `step` ones then `step` zeros, doubled until it spans N bits
+        low, width = (1 << step) - 1, 2 * step
+        while width < N:
+            low |= low << width
+            width *= 2
         masks.append((step, low))
     return tuple(masks)
 

@@ -34,8 +34,10 @@ class PhaseFunction:
     marks: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n <= DEFAULT_QUBIT_CAP:
-            raise ValueError(f"spin count {self.n} outside 1..{DEFAULT_QUBIT_CAP}")
+        if not isinstance(self.n, (int, np.integer)) or not 1 <= self.n <= DEFAULT_QUBIT_CAP:
+            raise ValueError(f"spin count {self.n!r} outside 1..{DEFAULT_QUBIT_CAP}")
+        # a numpy size would carry int64 into every count derived from n
+        object.__setattr__(self, "n", int(self.n))
         m = np.asarray(self.marks).reshape(-1)
         if m.dtype != bool and not np.all((m == 0) | (m == 1)):
             raise ValueError("truth-table entries must be bools or 0/1 marks")

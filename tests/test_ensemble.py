@@ -40,6 +40,18 @@ def dense_pulse_matrix(n, axis, angle):
     return expm(-1j * angle * gen)
 
 
+def spinwise_pulse(rho, n, axis, angle):
+    """Conjugate by the pulse one spin at a time with its 2 x 2 rotation."""
+    c, s = np.cos(0.5 * angle), np.sin(0.5 * angle)
+    r = np.array([[c, -s], [s, c]] if axis == "y" else [[c, -1j * s], [-1j * s, c]])
+    N = 1 << n
+    for k in range(n):
+        hi, lo = 1 << k, 1 << (n - 1 - k)
+        rho = np.einsum("ij,ajbc->aibc", r, rho.reshape(hi, 2, lo, N)).reshape(N, N)
+        rho = np.einsum("ij,cajb->caib", r.conj(), rho.reshape(N, hi, 2, lo)).reshape(N, N)
+    return rho
+
+
 class TestInitialState:
     def test_single_spin_is_transverse_y(self):
         rho = initial_state(SpinSystem(1)).rho
@@ -101,6 +113,16 @@ class TestApplyPulse:
         fast = apply_pulse(state, PulseSpec(axis, angle)).rho
         r = dense_pulse_matrix(n, axis, angle)
         assert np.abs(fast - r @ state.rho @ r.conj().T).max() < 1e-11
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_matches_spinwise_rotation_past_expm_range(self, axis, n):
+        # n = 9 is the first split past n = 7 with unequal factors (16 x 32)
+        rng = np.random.default_rng(200 + n)
+        state = random_deviation_state(n, rng)
+        angle = float(rng.uniform(-np.pi, np.pi))
+        fast = apply_pulse(state, PulseSpec(axis, angle)).rho
+        assert np.abs(fast - spinwise_pulse(state.rho, n, axis, angle)).max() < 1e-11
 
     def test_leaves_input_state_unchanged(self):
         rng = np.random.default_rng(54)
@@ -243,6 +265,38 @@ class TestReadSignal:
         snr = read_signal(DeviationState(rho), system, threshold=1e-3, snr_mode=True)
         assert raw.amplitudes[0] == pytest.approx(4.0, abs=1e-12)
         assert snr.amplitudes[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_purity_check_reaches_every_row_block(self):
+        # at n = 9 the check runs in four blocks of 128 rows; each stray
+        # element has real and imaginary parts below the tolerance and a
+        # modulus above it
+        n, N = 9, 512
+        system = SpinSystem(n)
+        stray = 0.8 * STRUCT_TOL * (1 + 1j)
+        for r, c in [(0, 1), (127, 128), (200, 7), (383, 384), (510, 511), (511, 0)]:
+            rho = np.zeros((N, N), dtype=complex)
+            rho[r, c], rho[c, r] = stray, np.conj(stray)
+            with pytest.raises(ValueError, match="purged"):
+                read_signal(DeviationState(rho, validate=False), system)
+            rho[r, c] = rho[c, r] = np.nan
+            with pytest.raises(ValueError, match="purged"):
+                read_signal(DeviationState(rho, validate=False), system)
+        rho = np.diag(np.linspace(-1.0, 1.0, N)).astype(complex)
+        rho[300, 301] = rho[301, 300] = 0.5 * STRUCT_TOL
+        read_signal(DeviationState(rho, validate=False), system)
+
+    def test_readout_makes_no_state_sized_copy(self):
+        n = 10
+        system = SpinSystem(n)
+        state = evolved_purged_state(system, random_function(n, np.random.default_rng(57)))
+        read_signal(state, system)  # build the cached bit-sign table outside the window
+        tracemalloc.start()
+        try:
+            read_signal(state, system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * state.rho.nbytes, peak
 
     def test_signal_vector_flag_consistency(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 """Inputs that used to pass validation and give silently wrong results:
 numpy integer sizes, and NaN entries in the structural checks."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from spinparity import (
     brute_parity,
     brute_shifted_signal,
     read_signal,
+    reference_report,
     shift_unitary_compiled,
     shift_unitary_direct,
     solve_parity,
@@ -24,6 +28,14 @@ class TestNumpyIntegerSizes:
     def test_sizes_stored_as_python_ints(self):
         assert type(SpinSystem(np.int64(6)).n) is int
         assert type(ShiftSpec(np.int64(3), -1).m) is int
+
+    def test_phase_function_size_stored_as_python_int(self):
+        f = PhaseFunction(np.int64(7), np.random.default_rng(7).random(128) < 0.5)
+        assert type(f.n) is int
+        report = reference_report(f, ShiftSpec(np.int64(5), -1))
+        json.dumps(dataclasses.asdict(report))
+        with pytest.raises(ValueError, match="spin count"):
+            PhaseFunction(3.0, np.zeros(8, dtype=bool))
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_solve_parity_matches_brute_force(self, n):

@@ -138,6 +138,14 @@ def test_readout_allocates_no_per_index_arrays():
     assert peak <= 32 * 1024, peak
 
 
+@pytest.mark.parametrize("n", range(1, 15))
+def test_low_masks_match_per_index_construction(n):
+    N = 1 << n
+    for k, (step, low) in enumerate(ensemble._low_masks(n), start=1):
+        assert step == 1 << (n - k)
+        assert low == sum(1 << x for x in range(N) if not (x >> (n - k)) & 1), f"n={n} k={k}"
+
+
 def test_rejects_oversized_shift():
     with pytest.raises(ValueError):
         pair_sequence(SpinSystem(3), PhaseFunction.single(3, 1), ShiftSpec(5, +1))
