@@ -123,7 +123,7 @@ def apply_pulse(state: DeviationState, pulse: PulseSpec) -> DeviationState:
     da, db = len(a), len(b)
     rho = np.ascontiguousarray(state.rho)
     if pulse.axis == "x":
-        d = _x_phase(N)  # D^(x)n as a vector: (-i)^popcount
+        d = np.array([1, -1j, -1, 1j])[_popcounts(N) % 4]  # D^(x)n: (-i)^popcount
         rho = rho * d.conj()[:, None]
         rho *= d
     t = np.empty((N, N), dtype=complex)
@@ -148,14 +148,6 @@ def _popcounts(N: int) -> np.ndarray:
     pc = np.array([x.bit_count() for x in range(N)])
     pc.setflags(write=False)
     return pc
-
-
-@lru_cache(maxsize=None)
-def _x_phase(N: int) -> np.ndarray:
-    """The diagonal of ``diag(1, -i)`` on every spin: ``(-i)^popcount(x)``."""
-    d = np.array([1, -1j, -1, 1j])[_popcounts(N) % 4]
-    d.setflags(write=False)
-    return d
 
 
 @lru_cache(maxsize=None)
