@@ -12,8 +12,10 @@ per-spin offsets whenever the marked set and shift block do not collide on a
 spin's index pairs, and always agree with that difference modulo 2 (see
 ``run_sequence``).
 
-Two engines run it.  ``run_sequence`` is the dense reference: it builds,
-rotates and purges the N x N density matrix stage by stage.  ``pair_sequence``
+Two engines run it.  ``run_sequence`` is the dense reference: it builds the
+N x N density matrix once (``initial_state``), and every later stage
+(``spinops.conjugate``, ``apply_pulse`` and the two filters) transforms that
+state's array in place and returns the same state.  ``pair_sequence``
 is the one the solver uses: the purged state is a sum of single-spin
 longitudinal terms, so spin k's amplitude depends only on the oracle and
 shift phases over spin k's index pairs.  At 90 degrees those phases are
@@ -99,20 +101,23 @@ def initial_state(system: SpinSystem) -> DeviationState:
 
 
 def apply_pulse(state: DeviationState, pulse: PulseSpec) -> DeviationState:
-    """Conjugate by the hard-pulse rotation ``R^(x)n = A (x) B``, with ``A``
-    on the high ``n // 2`` spins and ``B`` on the rest, written into one new
-    N x N array.
+    """Conjugate the state in place by the hard-pulse rotation
+    ``R^(x)n = A (x) B``, with ``A`` on the high ``n // 2`` spins and ``B``
+    on the rest, and return it.
 
     Both factors are the real y rotation ``[[c, -s], [s, c]]`` to the
     Kronecker power, so three of the four legs (the row legs of both factors
     and the column legs of ``A``) run as float64 matmuls on the state's
     float view, with the real and imaginary parts riding along as an extra
     column axis.  Only the column legs of ``B`` contract the innermost
-    complex axis and stay a complex matmul.  An x pulse reuses the same
-    kernel through ``R_x = D R_y D^dagger`` with ``D = diag(1, -i)`` on every
-    spin: the state takes the phase ``i^(popcount(r) - popcount(c))`` before
-    the y rotation and its inverse after, at the cost of one more N x N
-    array for the phased input.
+    complex axis and stay a complex matmul.  The row legs of ``A`` run first,
+    one strided slab of rows at a time; the other three legs then run
+    together on each block of ``len(B)`` consecutive rows, which they alone
+    mix.  Two buffers of one block each are all the pulse allocates.  An x
+    pulse reuses the same kernel through ``R_x = D R_y D^dagger`` with
+    ``D = diag(1, -i)`` on every spin: the state takes the phase
+    ``i^(popcount(r) - popcount(c))`` before the y rotation and its inverse
+    after, in place.
     """
     N = state.dim
     n = N.bit_length() - 1
@@ -121,25 +126,25 @@ def apply_pulse(state: DeviationState, pulse: PulseSpec) -> DeviationState:
     a = reduce(np.kron, [r] * (n // 2), np.eye(1))
     b = reduce(np.kron, [r] * (n - n // 2), np.eye(1))
     da, db = len(a), len(b)
-    rho = np.ascontiguousarray(state.rho)
+    rho = state.rho
     if pulse.axis == "x":
         d = np.array([1, -1j, -1, 1j])[_popcounts(N) % 4]  # D^(x)n: (-i)^popcount
-        rho = rho * d.conj()[:, None]
+        rho *= d.conj()[:, None]
         rho *= d
-    t = np.empty((N, N), dtype=complex)
-    tf = t.view(np.float64)  # (N, 2N): re and im of each column side by side
-    np.matmul(a, rho.view(np.float64).reshape(da, -1), out=tf.reshape(da, -1))  # row legs of A
-    for blk in tf.reshape(da, db, 2 * N):  # row legs of B
-        blk[...] = b @ blk
+    g = rho.view(np.float64).reshape(da, db, 2 * N)  # re and im side by side
+    buf = np.empty((2, db, 2 * N))  # two blocks of db rows, reused by every leg
+    for j in range(db):  # row legs of A: rows j, j + db, j + 2 db, ...
+        np.matmul(a, g[:, j], out=buf[0, :da])
+        g[:, j] = buf[0, :da]
     bt = b.T.astype(complex)
-    buf = np.empty((da, da, 2 * db))  # one chunk of da rows, reused
-    for rows in t.reshape(db, da, da, db):  # column legs, da rows at a time
-        np.matmul(a, rows.view(np.float64), out=buf)
-        np.matmul(buf.view(complex).reshape(-1, db), bt, out=rows.reshape(-1, db))
+    for rows in g:  # the other legs one block of db consecutive rows at a time
+        np.matmul(b, rows, out=buf[0])  # row legs of B
+        np.matmul(a, buf[0].reshape(db, da, 2 * db), out=buf[1].reshape(db, da, 2 * db))
+        np.matmul(buf[1].view(complex).reshape(-1, db), bt, out=rows.view(complex).reshape(-1, db))
     if pulse.axis == "x":
-        t *= d[:, None]
-        t *= d.conj()
-    return DeviationState(t, validate=False)
+        rho *= d[:, None]
+        rho *= d.conj()
+    return state
 
 
 @lru_cache(maxsize=None)
@@ -160,18 +165,20 @@ def _zero_order_mask(N: int) -> np.ndarray:
 
 
 def gradient_filter(state: DeviationState) -> DeviationState:
-    """Cancel every element of nonzero coherence order; populations and
-    zero-quantum elements survive."""
-    keep = _zero_order_mask(state.dim)
-    return DeviationState(np.where(keep, state.rho, 0.0), validate=False)
+    """Cancel every element of nonzero coherence order, in place; populations
+    and zero-quantum elements survive."""
+    np.copyto(state.rho, 0.0, where=~_zero_order_mask(state.dim))
+    return state
 
 
 def zero_quantum_filter(state: DeviationState) -> DeviationState:
-    """Cancel the off-diagonal zero-quantum elements; composed with the
-    gradient filter this is an exact projection onto the diagonal."""
-    out = np.where(_zero_order_mask(state.dim), 0.0, state.rho)
-    np.fill_diagonal(out, state.rho.diagonal())
-    return DeviationState(out, validate=False)
+    """Cancel the off-diagonal zero-quantum elements, in place; composed with
+    the gradient filter this is an exact projection onto the diagonal."""
+    rho = state.rho
+    diagonal = rho.diagonal().copy()
+    np.copyto(rho, 0.0, where=_zero_order_mask(state.dim))
+    np.fill_diagonal(rho, diagonal)
+    return state
 
 
 def signal_unit(N: int, snr_mode: bool) -> float:
@@ -235,7 +242,8 @@ def read_signal(
 
 def evolved_purged_state(system: SpinSystem, f: PhaseFunction, shift: ShiftSpec = None) -> DeviationState:
     """Run the pulse sequence up to (and including) the purge, returning the
-    diagonal state the readout sees."""
+    diagonal state the readout sees: the initial state's one N x N array,
+    transformed in place by every stage."""
     if f.n != system.n:
         raise ValueError(f"truth table is for n={f.n}, system has n={system.n}")
     rho = initial_state(system)

@@ -131,7 +131,12 @@ class DeviationState:
 
     The component proportional to identity carries no NMR signal and is
     dropped throughout, so every state handled here has exactly zero trace.
-    ``validate=False`` skips the O(N^2) structural checks; reserved for
+    The dimension must be ``2**n`` with ``n >= 1``.  ``rho`` is a writable
+    C-contiguous complex array (the given one when it already is, else a
+    copy), and the dense stages (``conjugate``, ``ensemble.apply_pulse`` and
+    both purge filters) transform it in place and return the same state, so
+    a caller that still needs the input passes a copy.  ``validate=False``
+    skips the O(N^2) structural checks, not the dimension check; reserved for
     transforms that provably preserve them (phase conjugation, rotations,
     coherence masks), each covered by a preservation test.
     """
@@ -140,9 +145,12 @@ class DeviationState:
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool = True):
-        m = np.asarray(self.rho, dtype=complex)
+        m = np.require(self.rho, dtype=complex, requirements="CW")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"state must be square, got shape {m.shape}")
+        N = m.shape[0]
+        if N < 2 or N & (N - 1):
+            raise ValueError(f"state dimension must be 2**n with n >= 1, got {N}")
         if validate:
             herm = np.abs(m - m.conj().T).max()
             if not herm <= STRUCT_TOL:
@@ -196,11 +204,13 @@ def bit_sign_table(n: int) -> BitSignTable:
 
 
 def conjugate(u, state: DeviationState) -> DeviationState:
-    """Unitary conjugation ``u rho u^dagger``.
+    """Unitary conjugation ``rho -> u rho u^dagger``, in place on the state's
+    array; returns the same state.
 
     Diagonal unitaries take the elementwise path
-    ``rho'[r, c] = phases[r] * conj(phases[c]) * rho[r, c]`` (O(N^2));
-    dense matrix products are reserved for general ``Operator`` inputs.
+    ``rho[r, c] *= phases[r] * conj(phases[c])`` (O(N^2), no N x N
+    temporary); dense matrix products are reserved for general ``Operator``
+    inputs, whose result is validated before it is written back.
     """
     rho = state.rho
     if isinstance(u, DiagonalUnitary):
@@ -209,15 +219,16 @@ def conjugate(u, state: DeviationState) -> DeviationState:
         _OP_COUNTS["diagonal"] += 1
         p = u.phases
         # elementwise scaling preserves hermiticity and trace exactly
-        out = rho * p.conj()[None, :]
-        out *= p[:, None]
-        return DeviationState(out, validate=False)
+        rho *= p.conj()[None, :]
+        rho *= p[:, None]
+        return state
     if isinstance(u, Operator):
         if u.dim != state.dim:
             raise ValueError(f"dimension mismatch: {u.dim} vs {state.dim}")
         _OP_COUNTS["dense"] += 1
         m = u.entries
-        return DeviationState(m @ rho @ m.conj().T)
+        rho[...] = DeviationState(m @ rho @ m.conj().T).rho
+        return state
     raise TypeError(f"cannot conjugate by {type(u).__name__}")
 
 

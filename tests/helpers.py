@@ -14,6 +14,13 @@ def random_deviation_state(n: int, rng: np.random.Generator) -> DeviationState:
     return DeviationState(herm)
 
 
+def copy_state(state: DeviationState) -> DeviationState:
+    """A state on a copy of ``state``'s array: the dense stages transform the
+    state they are given in place, so a test that reads the input afterwards
+    passes them a copy."""
+    return DeviationState(state.rho.copy(), validate=False)
+
+
 def random_function(n: int, rng: np.random.Generator, density: float = None) -> PhaseFunction:
     d = float(rng.uniform(0.05, 0.95)) if density is None else density
     return PhaseFunction(n, rng.random(1 << n) < d)

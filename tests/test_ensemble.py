@@ -32,7 +32,7 @@ from spinparity import (
 )
 from spinparity.spinops import STRUCT_TOL
 
-from helpers import function_from_mask, random_deviation_state, random_function
+from helpers import copy_state, function_from_mask, random_deviation_state, random_function
 
 
 def dense_pulse_matrix(n, axis, angle):
@@ -77,14 +77,15 @@ class TestApplyPulse:
     def test_zero_angle_is_identity(self):
         rng = np.random.default_rng(51)
         state = random_deviation_state(2, rng)
-        out = apply_pulse(state, PulseSpec("y", 0.0))
+        out = apply_pulse(copy_state(state), PulseSpec("y", 0.0))
         assert np.abs(out.rho - state.rho).max() < STRUCT_TOL
 
     def test_two_quarter_turns_compose(self):
         rng = np.random.default_rng(52)
         state = random_deviation_state(3, rng)
-        twice = apply_pulse(apply_pulse(state, PulseSpec("y", np.pi / 2)), PulseSpec("y", np.pi / 2))
-        once = apply_pulse(state, PulseSpec("y", np.pi))
+        twice = apply_pulse(apply_pulse(copy_state(state), PulseSpec("y", np.pi / 2)), PulseSpec("y", np.pi / 2))
+        once = apply_pulse(copy_state(state), PulseSpec("y", np.pi))
+        assert np.abs(once.rho - state.rho).max() > 0.1  # a half turn moves a random state
         assert np.abs(twice.rho - once.rho).max() < 1e-12
 
     def test_quarter_turn_convention(self):
@@ -99,7 +100,7 @@ class TestApplyPulse:
         for n in (1, 2, 3):
             state = random_deviation_state(n, rng)
             angle = float(rng.uniform(-np.pi, np.pi))
-            fast = apply_pulse(state, PulseSpec(axis, angle)).rho
+            fast = apply_pulse(copy_state(state), PulseSpec(axis, angle)).rho
             r = dense_pulse_matrix(n, axis, angle)
             assert np.abs(fast - r @ state.rho @ r.conj().T).max() < 1e-11
 
@@ -110,7 +111,7 @@ class TestApplyPulse:
         rng = np.random.default_rng(100 + n)
         state = random_deviation_state(n, rng)
         angle = float(rng.uniform(-np.pi, np.pi))
-        fast = apply_pulse(state, PulseSpec(axis, angle)).rho
+        fast = apply_pulse(copy_state(state), PulseSpec(axis, angle)).rho
         r = dense_pulse_matrix(n, axis, angle)
         assert np.abs(fast - r @ state.rho @ r.conj().T).max() < 1e-11
 
@@ -121,15 +122,8 @@ class TestApplyPulse:
         rng = np.random.default_rng(200 + n)
         state = random_deviation_state(n, rng)
         angle = float(rng.uniform(-np.pi, np.pi))
-        fast = apply_pulse(state, PulseSpec(axis, angle)).rho
+        fast = apply_pulse(copy_state(state), PulseSpec(axis, angle)).rho
         assert np.abs(fast - spinwise_pulse(state.rho, n, axis, angle)).max() < 1e-11
-
-    def test_leaves_input_state_unchanged(self):
-        rng = np.random.default_rng(54)
-        state = random_deviation_state(5, rng)
-        before = state.rho.copy()
-        apply_pulse(state, PulseSpec("x", 1.1))
-        assert np.array_equal(state.rho, before)
 
     def test_pipeline_output_hermitian_traceless_at_n10(self):
         rng = np.random.default_rng(55)
@@ -142,18 +136,21 @@ class TestApplyPulse:
         assert abs(out.trace()) < STRUCT_TOL
 
     def test_peak_allocation_is_one_state(self):
-        # the rotation writes into a single new N x N array
+        # the rotation works in place on the state's array; its buffers (two
+        # blocks of len(B) rows, and the x pulse's phases) are a fraction of it
         n = 9
-        state = initial_state(SpinSystem(n))
-        pulse = PulseSpec("y", np.pi / 2)
-        apply_pulse(state, pulse)
-        tracemalloc.start()
-        try:
-            out = apply_pulse(state, pulse)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * out.rho.nbytes
+        for axis in ("y", "x"):
+            state = initial_state(SpinSystem(n))
+            pulse = PulseSpec(axis, np.pi / 2)
+            apply_pulse(state, pulse)
+            tracemalloc.start()
+            try:
+                out = apply_pulse(state, pulse)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out is state
+            assert peak <= 0.25 * out.rho.nbytes, axis
 
     def test_pulse_spec_validation(self):
         with pytest.raises(ValueError):
@@ -178,7 +175,7 @@ class TestPurgeFilters:
         m[2, 1] = np.conj(m[1, 2])
         m[0, 3] = 0.2 - 0.4j  # double-quantum
         m[3, 0] = np.conj(m[0, 3])
-        out = gradient_filter(DeviationState(m)).rho
+        out = gradient_filter(DeviationState(m.copy())).rho
         assert out[1, 2] == m[1, 2]
         assert out[0, 3] == 0.0
 
@@ -197,9 +194,9 @@ class TestPurgeFilters:
         rng = np.random.default_rng(54)
         for n in (1, 2, 3, 4):
             state = random_deviation_state(n, rng)
-            purged = zero_quantum_filter(gradient_filter(state)).rho
+            purged = zero_quantum_filter(gradient_filter(copy_state(state))).rho
             assert np.array_equal(purged, np.diag(np.diag(state.rho)))
-            swapped = gradient_filter(zero_quantum_filter(state)).rho
+            swapped = gradient_filter(zero_quantum_filter(copy_state(state))).rho
             assert np.array_equal(swapped, purged)
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -208,8 +205,8 @@ class TestPurgeFilters:
         # cancelled element shows; the masks must agree with coherence_order
         state = random_deviation_state(n, np.random.default_rng(56 + n))
         rho = state.rho
-        grad = gradient_filter(state).rho
-        zq = zero_quantum_filter(state).rho
+        grad = gradient_filter(copy_state(state)).rho
+        zq = zero_quantum_filter(copy_state(state)).rho
         N = 1 << n
         for r in range(N):
             for c in range(N):
@@ -220,8 +217,9 @@ class TestPurgeFilters:
     def test_purge_idempotent(self):
         rng = np.random.default_rng(55)
         state = random_deviation_state(3, rng)
-        once = zero_quantum_filter(gradient_filter(state))
-        twice = zero_quantum_filter(gradient_filter(once))
+        once = zero_quantum_filter(gradient_filter(copy_state(state)))
+        twice = zero_quantum_filter(gradient_filter(copy_state(once)))
+        assert np.abs(once.rho - state.rho).max() > 0.1  # the purge cancels coherences
         assert np.array_equal(once.rho, twice.rho)
 
 
@@ -486,11 +484,14 @@ class TestRunSequence:
         system = SpinSystem(n, epsilon=tuple(rng.uniform(0.5, 2.0, n)))
         f = random_function(n, rng)
         stages = [initial_state(system)]
-        stages.append(conjugate(phase_oracle(f, np.pi / 2), stages[-1]))
-        stages.append(conjugate(shift_unitary_direct(ShiftSpec(5, +1), n), stages[-1]))
-        stages.append(apply_pulse(stages[-1], PulseSpec("y", np.pi / 2)))
-        stages.append(gradient_filter(stages[-1]))
-        stages.append(zero_quantum_filter(stages[-1]))
+        stages.append(conjugate(phase_oracle(f, np.pi / 2), copy_state(stages[-1])))
+        stages.append(conjugate(shift_unitary_direct(ShiftSpec(5, +1), n), copy_state(stages[-1])))
+        stages.append(apply_pulse(copy_state(stages[-1]), PulseSpec("y", np.pi / 2)))
+        stages.append(gradient_filter(copy_state(stages[-1])))
+        stages.append(zero_quantum_filter(copy_state(stages[-1])))
+        # every stage acts: none of them leaves this state as it was
+        for before, after in zip(stages, stages[1:]):
+            assert not np.array_equal(before.rho, after.rho)
         for stage in stages:
             assert np.abs(stage.rho - stage.rho.conj().T).max() < STRUCT_TOL
             assert abs(stage.rho.trace()) < STRUCT_TOL
@@ -498,6 +499,23 @@ class TestRunSequence:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             run_sequence(SpinSystem(3), PhaseFunction.constant(2, +1))
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_run_holds_one_state_array(self, n):
+        # every stage transforms the initial state's array in place, so a
+        # warm run allocates one N x N complex array and small buffers
+        rng = np.random.default_rng(78 + n)
+        system = SpinSystem(n)
+        f = random_function(n, rng)
+        spec = ShiftSpec(int(rng.integers(1, 1 << (n - 1))), -1)
+        run_sequence(system, f, spec)  # builds the cached masks
+        tracemalloc.start()
+        try:
+            run_sequence(system, f, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 16 * system.dim**2
 
 
 def _has_saturating_pair(f, spec):

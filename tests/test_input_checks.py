@@ -1,5 +1,6 @@
-"""Inputs that used to pass validation and give silently wrong results:
-numpy integer sizes, and NaN entries in the structural checks."""
+"""Inputs that used to pass validation and give silently wrong results or
+numpy's own errors: numpy integer sizes, NaN entries in the structural
+checks, and states whose dimension is not a power of two."""
 
 import dataclasses
 import json
@@ -11,6 +12,7 @@ from spinparity import (
     DeviationState,
     DiagonalUnitary,
     PhaseFunction,
+    PulseSpec,
     ShiftSpec,
     SpinSystem,
     brute_parity,
@@ -21,7 +23,9 @@ from spinparity import (
     shift_unitary_direct,
     solve_parity,
 )
-from spinparity.ensemble import pair_sequence
+from spinparity.ensemble import apply_pulse, pair_sequence
+
+from helpers import random_deviation_state
 
 
 class TestNumpyIntegerSizes:
@@ -84,3 +88,26 @@ class TestNaNRejected:
         rho[1, 2] = rho[2, 1] = np.nan
         with pytest.raises(ValueError, match="purged"):
             read_signal(DeviationState(rho, validate=False), SpinSystem(2))
+
+
+class TestStateDimension:
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("dim", [0, 1, 3, 5, 6, 12])
+    def test_rejects_dimension_not_a_power_of_two(self, dim, validate):
+        # a zero matrix passes the structural checks, so only the size can fail
+        with pytest.raises(ValueError, match=r"2\*\*n with n >= 1, got " + str(dim)):
+            DeviationState(np.zeros((dim, dim)), validate=validate)
+
+    def test_array_is_writable_and_c_contiguous(self):
+        # the dense stages work in place on it, through reshapes and float views
+        rng = np.random.default_rng(81)
+        h = random_deviation_state(4, rng).rho
+        frozen = h.copy()
+        frozen.setflags(write=False)
+        for given in (np.asfortranarray(h), frozen):
+            state = DeviationState(given)
+            assert state.rho.flags.c_contiguous and state.rho.flags.writeable
+            assert np.array_equal(state.rho, h)
+            out = apply_pulse(state, PulseSpec("x", 0.9)).rho
+            want = apply_pulse(DeviationState(h.copy()), PulseSpec("x", 0.9)).rho
+            assert np.array_equal(out, want)

@@ -19,6 +19,8 @@ from spinparity import (
 )
 from spinparity.spinops import STRUCT_TOL
 
+from helpers import copy_state
+
 
 class TestPhaseFunction:
     def test_sign_and_exponent_relation(self):
@@ -89,7 +91,7 @@ class TestSelectivePhaseShift:
         # conjugating any diagonal (population) state is a no-op
         state = DeviationState(np.diag([0.5, -0.5, 0.25, -0.25]))
         u = selective_phase_shift(2, 2, 0.7)
-        assert np.abs(conjugate(u, state).rho - state.rho).max() < STRUCT_TOL
+        assert np.abs(conjugate(u, copy_state(state)).rho - state.rho).max() < STRUCT_TOL
 
     def test_out_of_range_index(self):
         with pytest.raises(IndexError):

@@ -17,7 +17,7 @@ from spinparity import (
 )
 from spinparity.spinops import STRUCT_TOL, apply_diagonal, op_counts
 
-from helpers import random_deviation_state
+from helpers import copy_state, random_deviation_state
 
 
 class TestSpinSystem:
@@ -169,7 +169,7 @@ class TestConjugate:
         rng = np.random.default_rng(11)
         state = random_deviation_state(2, rng)
         u = DiagonalUnitary(np.ones(4))
-        assert np.abs(conjugate(u, state).rho - state.rho).max() == 0.0
+        assert np.abs(conjugate(u, copy_state(state)).rho - state.rho).max() == 0.0
 
     def test_diagonal_state_invariant(self):
         d = np.diag([1.0, -0.25, -0.5, -0.25])
@@ -181,7 +181,7 @@ class TestConjugate:
         # a pi shift on index 0 negates the single-spin x component
         ix = DeviationState(spin_operator(1, 1, "x").entries)
         u = DiagonalUnitary(np.array([np.exp(-1j * np.pi), 1.0]))
-        out = conjugate(u, ix)
+        out = conjugate(u, copy_state(ix))
         assert np.abs(out.rho + ix.rho).max() < STRUCT_TOL
         assert out.rho[0, 1] == pytest.approx(np.exp(-1j * np.pi) * ix.rho[0, 1])
 
@@ -200,7 +200,9 @@ class TestConjugate:
         rng = np.random.default_rng(13)
         state = random_deviation_state(3, rng)
         u = DiagonalUnitary(np.exp(-1j * rng.uniform(0, 2 * np.pi, 8)))
-        back = conjugate(u.adjoint(), conjugate(u, state))
+        there = conjugate(u, copy_state(state))
+        assert np.abs(there.rho - state.rho).max() > 0.1
+        back = conjugate(u.adjoint(), copy_state(there))
         assert np.abs(back.rho - state.rho).max() < STRUCT_TOL
 
     def test_dimension_mismatch(self):
