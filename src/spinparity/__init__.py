@@ -7,7 +7,6 @@ the parity of the function in at most n sequence runs.
 """
 
 from .ensemble import (
-    PulseSpec,
     SignalVector,
     apply_pulse,
     evolved_purged_state,
@@ -22,7 +21,6 @@ from .oracles import (
     ShiftSpec,
     mark_count,
     phase_oracle,
-    shift_index_set,
     shift_unitary_direct,
 )
 from .protocol import IterationRecord, RunTrace, SignalError, projected_call_counts, solve_parity
@@ -35,7 +33,6 @@ from .reference import (
     reference_report,
 )
 from .spinops import (
-    BitSignTable,
     DeviationState,
     DiagonalUnitary,
     Operator,

@@ -257,6 +257,16 @@ def main(argv=None) -> int:
         if args.epsilon:
             epsilon = tuple(float(x) for x in args.epsilon.split(","))
         if args.bench is not None:
+            unused = {
+                "--n": args.n is not None,
+                "--epsilon": args.epsilon is not None,
+                "--snr": args.snr,
+                "--verify": args.verify,
+                "--format csv": args.fmt == "csv",
+            }
+            given = [flag for flag, on in unused.items() if on]
+            if given:
+                raise ValueError(f"--bench does not take {', '.join(given)}")
             sizes = [int(x) for x in args.bench.split(",")]
             cfg = ExperimentConfig(
                 source=args.function or "random",

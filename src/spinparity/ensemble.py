@@ -1,4 +1,4 @@
-"""Ensemble dynamics: initial deviation state, hard pulses, the two-stage
+"""Ensemble dynamics: initial deviation state, the hard y pulse, the two-stage
 purge filter, the readout rule, and the two engines that run the sequence.
 The closed-form conjugation and evolution expansions that cross-check the
 dense pipeline term by term live in ``verification``.
@@ -52,21 +52,6 @@ DEFAULT_THRESHOLD = 1e-9
 
 
 @dataclass(frozen=True)
-class PulseSpec:
-    """Hard pulse applied simultaneously to every work spin: rotation
-    ``exp(-i * angle * sum_k I_k,axis)``."""
-
-    axis: str
-    angle: float
-
-    def __post_init__(self):
-        if self.axis not in ("x", "y"):
-            raise ValueError(f"pulse axis must be 'x' or 'y', got {self.axis!r}")
-        if not -2.0 * np.pi < self.angle < 2.0 * np.pi:
-            raise ValueError(f"pulse angle {self.angle} outside (-2pi, 2pi)")
-
-
-@dataclass(frozen=True)
 class SignalVector:
     """Per-spin signed readout amplitudes with zero-detection flags."""
 
@@ -100,38 +85,32 @@ def initial_state(system: SpinSystem) -> DeviationState:
     return DeviationState(rho, validate=False)
 
 
-def apply_pulse(state: DeviationState, pulse: PulseSpec) -> DeviationState:
-    """Conjugate the state in place by the hard-pulse rotation
-    ``R^(x)n = A (x) B``, with ``A`` on the high ``n // 2`` spins and ``B``
-    on the rest, and return it.
+def apply_pulse(state: DeviationState, angle: float) -> DeviationState:
+    """Conjugate the state in place by the hard y pulse
+    ``exp(-i * angle * sum_k I_ky)`` on every spin and return it.
 
-    Both factors are the real y rotation ``[[c, -s], [s, c]]`` to the
-    Kronecker power, so three of the four legs (the row legs of both factors
-    and the column legs of ``A``) run as float64 matmuls on the state's
-    float view, with the real and imaginary parts riding along as an extra
-    column axis.  Only the column legs of ``B`` contract the innermost
-    complex axis and stay a complex matmul.  The row legs of ``A`` run first,
-    one strided slab of rows at a time; the other three legs then run
-    together on each block of ``len(B)`` consecutive rows, which they alone
-    mix.  Two buffers of one block each are all the pulse allocates.  An x
-    pulse reuses the same kernel through ``R_x = D R_y D^dagger`` with
-    ``D = diag(1, -i)`` on every spin: the state takes the phase
-    ``i^(popcount(r) - popcount(c))`` before the y rotation and its inverse
-    after, in place.
+    The rotation ``R^(x)n`` splits as ``A (x) B``, with ``A`` on the high
+    ``n // 2`` spins and ``B`` on the rest.  Both factors are the real
+    rotation ``[[c, -s], [s, c]]`` to the Kronecker power, so three of the
+    four legs (the row legs of both factors and the column legs of ``A``)
+    run as float64 matmuls on the state's float view, with the real and
+    imaginary parts riding along as an extra column axis.  Only the column
+    legs of ``B`` contract the innermost complex axis and stay a complex
+    matmul.  The row legs of ``A`` run first, one strided slab of rows at a
+    time; the other three legs then run together on each block of
+    ``len(B)`` consecutive rows, which they alone mix.  Two buffers of one
+    block each are all the pulse allocates.
     """
+    if not -2.0 * np.pi < angle < 2.0 * np.pi:
+        raise ValueError(f"pulse angle {angle} outside (-2pi, 2pi)")
     N = state.dim
     n = N.bit_length() - 1
-    c, s = np.cos(0.5 * pulse.angle), np.sin(0.5 * pulse.angle)
+    c, s = np.cos(0.5 * angle), np.sin(0.5 * angle)
     r = np.array([[c, -s], [s, c]])
     a = reduce(np.kron, [r] * (n // 2), np.eye(1))
     b = reduce(np.kron, [r] * (n - n // 2), np.eye(1))
     da, db = len(a), len(b)
-    rho = state.rho
-    if pulse.axis == "x":
-        d = np.array([1, -1j, -1, 1j])[_popcounts(N) % 4]  # D^(x)n: (-i)^popcount
-        rho *= d.conj()[:, None]
-        rho *= d
-    g = rho.view(np.float64).reshape(da, db, 2 * N)  # re and im side by side
+    g = state.rho.view(np.float64).reshape(da, db, 2 * N)  # re and im side by side
     buf = np.empty((2, db, 2 * N))  # two blocks of db rows, reused by every leg
     for j in range(db):  # row legs of A: rows j, j + db, j + 2 db, ...
         np.matmul(a, g[:, j], out=buf[0, :da])
@@ -141,24 +120,13 @@ def apply_pulse(state: DeviationState, pulse: PulseSpec) -> DeviationState:
         np.matmul(b, rows, out=buf[0])  # row legs of B
         np.matmul(a, buf[0].reshape(db, da, 2 * db), out=buf[1].reshape(db, da, 2 * db))
         np.matmul(buf[1].view(complex).reshape(-1, db), bt, out=rows.view(complex).reshape(-1, db))
-    if pulse.axis == "x":
-        rho *= d[:, None]
-        rho *= d.conj()
     return state
-
-
-@lru_cache(maxsize=None)
-def _popcounts(N: int) -> np.ndarray:
-    """popcount(x) for x = 0..N-1 (read-only)."""
-    pc = np.array([x.bit_count() for x in range(N)])
-    pc.setflags(write=False)
-    return pc
 
 
 @lru_cache(maxsize=None)
 def _zero_order_mask(N: int) -> np.ndarray:
     """True where |r><c| has coherence order 0: r and c have equal popcounts."""
-    pc = _popcounts(N)
+    pc = np.array([x.bit_count() for x in range(N)])
     mask = pc[None, :] == pc[:, None]
     mask.setflags(write=False)
     return mask
@@ -235,8 +203,7 @@ def read_signal(
             f"readout requires a purged (diagonal) state; off-diagonal max {worst:.3e}"
         )
     d = np.diag(state.rho).real
-    table = bit_sign_table(system.n)
-    amps = table.values @ d / np.asarray(system.epsilon)
+    amps = bit_sign_table(system.n) @ d / np.asarray(system.epsilon)
     return _signal(amps, system.dim, threshold, snr_mode)
 
 
@@ -250,7 +217,7 @@ def evolved_purged_state(system: SpinSystem, f: PhaseFunction, shift: ShiftSpec 
     rho = conjugate(phase_oracle(f, 0.5 * np.pi), rho)
     if shift is not None:
         rho = conjugate(shift_unitary_direct(shift, system.n), rho)
-    rho = apply_pulse(rho, PulseSpec("y", 0.5 * np.pi))
+    rho = apply_pulse(rho, 0.5 * np.pi)
     rho = gradient_filter(rho)
     rho = zero_quantum_filter(rho)
     return rho

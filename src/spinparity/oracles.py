@@ -20,6 +20,13 @@ import numpy as np
 from .spinops import DEFAULT_QUBIT_CAP, DiagonalUnitary
 
 
+def _check_spin_count(n) -> None:
+    """Reject a spin count outside 1..DEFAULT_QUBIT_CAP before anything of
+    size 2^n is allocated."""
+    if not isinstance(n, (int, np.integer)) or not 1 <= n <= DEFAULT_QUBIT_CAP:
+        raise ValueError(f"spin count {n!r} outside 1..{DEFAULT_QUBIT_CAP}")
+
+
 @dataclass(frozen=True)
 class PhaseFunction:
     """Truth table of f: {0..N-1} -> {+1, -1}, stored as the marked set.
@@ -34,8 +41,7 @@ class PhaseFunction:
     marks: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or not 1 <= self.n <= DEFAULT_QUBIT_CAP:
-            raise ValueError(f"spin count {self.n!r} outside 1..{DEFAULT_QUBIT_CAP}")
+        _check_spin_count(self.n)
         # a numpy size would carry int64 into every count derived from n
         object.__setattr__(self, "n", int(self.n))
         m = np.asarray(self.marks).reshape(-1)
@@ -61,12 +67,14 @@ class PhaseFunction:
 
     @classmethod
     def constant(cls, n: int, value: int = +1) -> "PhaseFunction":
+        _check_spin_count(n)
         if value not in (+1, -1):
             raise ValueError("constant value must be +1 or -1")
         return cls(n, np.full(1 << n, value == -1))
 
     @classmethod
     def single(cls, n: int, x0: int) -> "PhaseFunction":
+        _check_spin_count(n)
         N = 1 << n
         if not 0 <= x0 < N:
             raise IndexError(f"marked index {x0} outside 0..{N - 1}")
@@ -76,6 +84,7 @@ class PhaseFunction:
 
     @classmethod
     def from_marks(cls, n: int, marked) -> "PhaseFunction":
+        _check_spin_count(n)
         N = 1 << n
         m = np.zeros(N, dtype=bool)
         for x in marked:
@@ -89,6 +98,7 @@ class PhaseFunction:
         """Seeded random truth table; each index is marked with probability
         ``density``.  Uses numpy's PCG64 generator so identical seeds give
         identical tables on every platform."""
+        _check_spin_count(n)
         if not 0.0 <= density <= 1.0:
             raise ValueError("mark density must lie in [0, 1]")
         rng = np.random.default_rng(seed)
@@ -143,20 +153,10 @@ class ShiftSpec:
         return tuple(k for k in range(self.m.bit_length() - 1, -1, -1) if (self.m >> k) & 1)
 
 
-def shift_index_set(spec: ShiftSpec, n: int) -> np.ndarray:
-    """Basis indices whose selective shifts compose the offset unitary.
-
-    The canonical choice is the nested-subcube block ``spec.block(n)``.
-    Every member has spin-1 sign equal to ``spec.sign``, so the spin-1
-    offset is exactly ``sign * m``.
-    """
-    block = spec.block(n)
-    return np.arange(block.start, block.stop)
-
-
 def shift_unitary_direct(spec: ShiftSpec, n: int) -> DiagonalUnitary:
     """Offset unitary as the literal product of ``m`` selective shifts at
-    angle -pi/2, one per index in the canonical set."""
+    angle -pi/2, one per index of the canonical block ``spec.block(n)``,
+    whose members all have spin-1 sign ``spec.sign``."""
     p = np.ones(1 << n, dtype=complex)
-    p[shift_index_set(spec, n)] = np.exp(0.5j * np.pi)
+    p[spec.block(n)] = np.exp(0.5j * np.pi)
     return DiagonalUnitary(p)

@@ -14,7 +14,7 @@ from live in ``verification``.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -165,42 +165,22 @@ class DeviationState:
         return self.rho.shape[0]
 
 
-@dataclass(frozen=True)
-class BitSignTable:
-    """The +/-1 encoding of basis-index bits, one row per spin, built from
-    ``n`` alone.
+@lru_cache(maxsize=None)
+def bit_sign_table(n: int) -> np.ndarray:
+    """The +/-1 encoding of basis-index bits for ``n`` spins: a read-only
+    ``(n, 2**n)`` integer array, one row per spin (cached).
 
-    ``values[k-1, s]`` is +1 exactly when bit ``k`` of index ``s`` is 0
+    Entry ``[k-1, s]`` is +1 exactly when bit ``k`` of index ``s`` is 0
     (spin 1 = most significant bit), so ``diag(1/2 + a/2, 1/2 - a/2)`` is
     the single-spin projector selecting that bit.  Each row is balanced:
     half the entries are +1.
     """
-
-    n: int
-    values: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("spin count must be >= 1")
-        shifts = np.arange(self.n - 1, -1, -1)[:, None]  # n - k for k = 1..n
-        v = 1 - 2 * ((np.arange(1 << self.n) >> shifts) & 1)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
-
-    def sign(self, k: int, s: int) -> int:
-        """Entry for spin ``k`` (1-based) at basis index ``s``."""
-        return int(self.values[k - 1, s])
-
-
-@lru_cache(maxsize=None)
-def bit_sign_table(n: int) -> BitSignTable:
-    """Build the +/-1 bit table for ``n`` spins (cached; table is frozen)."""
-    t = BitSignTable(n=n)
-    t.values.setflags(write=False)
-    return t
+    if n < 1:
+        raise ValueError("spin count must be >= 1")
+    shifts = np.arange(n - 1, -1, -1)[:, None]  # n - k for k = 1..n
+    v = 1 - 2 * ((np.arange(1 << n) >> shifts) & 1)
+    v.setflags(write=False)
+    return v
 
 
 def conjugate(u, state: DeviationState) -> DeviationState:

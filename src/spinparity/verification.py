@@ -18,7 +18,7 @@ import numpy as np
 
 from .ensemble import initial_state
 from .oracles import PhaseFunction, ShiftSpec
-from .spinops import BitSignTable, DeviationState, DiagonalUnitary, Operator, SpinSystem, bit_sign_table
+from .spinops import DeviationState, DiagonalUnitary, Operator, SpinSystem, bit_sign_table
 
 _HALF_SIGMA = {
     "x": 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -54,15 +54,14 @@ def basis_projector(n: int, s: int) -> Operator:
     return Operator(np.diag(d))
 
 
-def basis_projector_product(table: BitSignTable, s: int) -> Operator:
+def basis_projector_product(n: int, s: int) -> Operator:
     """Same projector assembled as the tensor product of per-spin factors
     ``(E/2 + a_k I_kz)``, with ``a_k`` read from the bit-sign table."""
-    N = table.dim
+    N = 1 << n
     if not 0 <= s < N:
         raise IndexError(f"basis index {s} outside 0..{N - 1}")
     diag = np.array([1.0 + 0.0j])
-    for k in range(1, table.n + 1):
-        a = table.sign(k, s)
+    for a in bit_sign_table(n)[:, s]:
         diag = np.kron(diag, np.array([0.5 + 0.5 * a, 0.5 - 0.5 * a], dtype=complex))
     return Operator(np.diag(diag))
 
@@ -239,7 +238,7 @@ def oracle_evolution_expansion(system: SpinSystem, f: PhaseFunction, theta: floa
             rho[r, c] += -one_minus_cos * e * (-0.5j)
             rho[c, r] += -one_minus_cos * e * (+0.5j)
             # sine term: coefficient -sin * a_k^s on the x component
-            a = table.sign(k, s)
+            a = table[k - 1, s]
             rho[r, c] += -sin * e * a * 0.5
             rho[c, r] += -sin * e * a * 0.5
     for i, s in enumerate(marked):

@@ -263,6 +263,28 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)
         assert report["diagonal_path_only"] is True
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--n", "5"], ["--epsilon", "1,2"], ["--snr"], ["--verify"], ["--format", "csv"],
+         ["--format", "csv", "--snr", "--verify", "--n", "5", "--epsilon", "1,2"]],
+    )
+    def test_bench_rejects_flags_it_does_not_use(self, flags, capsys):
+        assert main(["--bench", "2"] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --bench does not take ")
+
+    @pytest.mark.parametrize("n", ["40", "64", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        ["--n {n} --function const-plus", "--n {n} --function random --seed 1",
+         "--n {n} --function single:3", "--bench {n}"],
+    )
+    def test_spin_count_out_of_range_rejected(self, argv, n, capsys):
+        # one error line, no traceback: the count is checked before 2^n entries are allocated
+        assert main(argv.format(n=n).split()) == 1
+        assert capsys.readouterr().err == f"error: spin count {n} outside 1..12\n"
+
     def test_usage_error_remapped(self):
         assert main(["--format", "yaml"]) == 1
 

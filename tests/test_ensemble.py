@@ -7,7 +7,6 @@ from scipy.linalg import expm
 from spinparity import (
     DeviationState,
     PhaseFunction,
-    PulseSpec,
     ShiftSpec,
     SignalVector,
     SpinSystem,
@@ -42,8 +41,7 @@ def dense_pulse_matrix(n, axis, angle):
 
 def spinwise_pulse(rho, n, axis, angle):
     """Conjugate by the pulse one spin at a time with its 2 x 2 rotation."""
-    c, s = np.cos(0.5 * angle), np.sin(0.5 * angle)
-    r = np.array([[c, -s], [s, c]] if axis == "y" else [[c, -1j * s], [-1j * s, c]])
+    r = expm(-1j * angle * spin_operator(1, 1, axis).entries)
     N = 1 << n
     for k in range(n):
         hi, lo = 1 << k, 1 << (n - 1 - k)
@@ -77,52 +75,54 @@ class TestApplyPulse:
     def test_zero_angle_is_identity(self):
         rng = np.random.default_rng(51)
         state = random_deviation_state(2, rng)
-        out = apply_pulse(copy_state(state), PulseSpec("y", 0.0))
+        out = apply_pulse(copy_state(state), 0.0)
         assert np.abs(out.rho - state.rho).max() < STRUCT_TOL
 
     def test_two_quarter_turns_compose(self):
         rng = np.random.default_rng(52)
         state = random_deviation_state(3, rng)
-        twice = apply_pulse(apply_pulse(copy_state(state), PulseSpec("y", np.pi / 2)), PulseSpec("y", np.pi / 2))
-        once = apply_pulse(copy_state(state), PulseSpec("y", np.pi))
+        twice = apply_pulse(apply_pulse(copy_state(state), np.pi / 2), np.pi / 2)
+        once = apply_pulse(copy_state(state), np.pi)
         assert np.abs(once.rho - state.rho).max() > 0.1  # a half turn moves a random state
         assert np.abs(twice.rho - once.rho).max() < 1e-12
 
     def test_quarter_turn_convention(self):
         # the 90-degree y pulse carries x magnetization onto -z
         state = DeviationState(spin_operator(1, 1, "x").entries)
-        out = apply_pulse(state, PulseSpec("y", np.pi / 2))
+        out = apply_pulse(state, np.pi / 2)
         assert np.abs(out.rho + spin_operator(1, 1, "z").entries).max() < 1e-12
 
-    @pytest.mark.parametrize("axis", ["x", "y"])
+    # the pulse rotates about y, the one axis the sequence uses; the
+    # references below are built for any axis from the spin operators
+    @pytest.mark.parametrize("axis", ["y"])
     def test_matches_dense_exponential(self, axis):
         rng = np.random.default_rng(53)
         for n in (1, 2, 3):
             state = random_deviation_state(n, rng)
             angle = float(rng.uniform(-np.pi, np.pi))
-            fast = apply_pulse(copy_state(state), PulseSpec(axis, angle)).rho
+            fast = apply_pulse(copy_state(state), angle).rho
             r = dense_pulse_matrix(n, axis, angle)
             assert np.abs(fast - r @ state.rho @ r.conj().T).max() < 1e-11
 
-    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("axis", ["y"])
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_dense_exponential_for_every_factor_split(self, axis, n):
         # n = 1..7 puts 0..3 spins in the high factor and 1..4 in the low
         rng = np.random.default_rng(100 + n)
         state = random_deviation_state(n, rng)
         angle = float(rng.uniform(-np.pi, np.pi))
-        fast = apply_pulse(copy_state(state), PulseSpec(axis, angle)).rho
+        fast = apply_pulse(copy_state(state), angle).rho
         r = dense_pulse_matrix(n, axis, angle)
         assert np.abs(fast - r @ state.rho @ r.conj().T).max() < 1e-11
 
-    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("axis", ["y"])
     @pytest.mark.parametrize("n", [8, 9])
     def test_matches_spinwise_rotation_past_expm_range(self, axis, n):
         # n = 9 is the first split past n = 7 with unequal factors (16 x 32)
         rng = np.random.default_rng(200 + n)
         state = random_deviation_state(n, rng)
         angle = float(rng.uniform(-np.pi, np.pi))
-        fast = apply_pulse(copy_state(state), PulseSpec(axis, angle)).rho
+        fast = apply_pulse(copy_state(state), angle).rho
         assert np.abs(fast - spinwise_pulse(state.rho, n, axis, angle)).max() < 1e-11
 
     def test_pipeline_output_hermitian_traceless_at_n10(self):
@@ -131,32 +131,31 @@ class TestApplyPulse:
         system = SpinSystem(n)
         state = conjugate(phase_oracle(random_function(n, rng), np.pi / 2), initial_state(system))
         state = conjugate(shift_unitary_direct(ShiftSpec(300, -1), n), state)
-        out = apply_pulse(state, PulseSpec("y", np.pi / 2)).rho
+        out = apply_pulse(state, np.pi / 2).rho
         assert np.abs(out - out.conj().T).max() < STRUCT_TOL
         assert abs(out.trace()) < STRUCT_TOL
 
     def test_peak_allocation_is_one_state(self):
-        # the rotation works in place on the state's array; its buffers (two
-        # blocks of len(B) rows, and the x pulse's phases) are a fraction of it
-        n = 9
-        for axis in ("y", "x"):
-            state = initial_state(SpinSystem(n))
-            pulse = PulseSpec(axis, np.pi / 2)
-            apply_pulse(state, pulse)
-            tracemalloc.start()
-            try:
-                out = apply_pulse(state, pulse)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert out is state
-            assert peak <= 0.25 * out.rho.nbytes, axis
+        # the rotation works in place on the state's array; its two buffers
+        # of len(B) rows each are a fraction of it
+        state = initial_state(SpinSystem(9))
+        apply_pulse(state, np.pi / 2)
+        tracemalloc.start()
+        try:
+            out = apply_pulse(state, np.pi / 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is state
+        assert peak <= 0.25 * out.rho.nbytes
 
-    def test_pulse_spec_validation(self):
-        with pytest.raises(ValueError):
-            PulseSpec("z", 1.0)
-        with pytest.raises(ValueError):
-            PulseSpec("y", 7.0)
+    def test_angle_outside_open_range_rejected(self):
+        state = initial_state(SpinSystem(2))
+        before = state.rho.copy()
+        for angle in (7.0, -7.0, 2.0 * np.pi, float("nan")):
+            with pytest.raises(ValueError, match=r"outside \(-2pi, 2pi\)"):
+                apply_pulse(state, angle)
+        assert np.array_equal(state.rho, before)
 
 
 class TestPurgeFilters:
@@ -486,7 +485,7 @@ class TestRunSequence:
         stages = [initial_state(system)]
         stages.append(conjugate(phase_oracle(f, np.pi / 2), copy_state(stages[-1])))
         stages.append(conjugate(shift_unitary_direct(ShiftSpec(5, +1), n), copy_state(stages[-1])))
-        stages.append(apply_pulse(copy_state(stages[-1]), PulseSpec("y", np.pi / 2)))
+        stages.append(apply_pulse(copy_state(stages[-1]), np.pi / 2))
         stages.append(gradient_filter(copy_state(stages[-1])))
         stages.append(zero_quantum_filter(copy_state(stages[-1])))
         # every stage acts: none of them leaves this state as it was

@@ -12,7 +12,6 @@ from spinparity import (
     DeviationState,
     DiagonalUnitary,
     PhaseFunction,
-    PulseSpec,
     ShiftSpec,
     SpinSystem,
     brute_parity,
@@ -26,6 +25,23 @@ from spinparity import (
 from spinparity.ensemble import apply_pulse, pair_sequence
 
 from helpers import random_deviation_state
+
+
+class TestSpinCountBeforeAllocation:
+    # n = 40 used to ask numpy for 1-8 TiB, n = 64 overflowed numpy's
+    # dimension limit and n = -1 failed in a negative shift
+    FACTORIES = {
+        "constant": lambda n: PhaseFunction.constant(n, -1),
+        "single": lambda n: PhaseFunction.single(n, 3),
+        "from_marks": lambda n: PhaseFunction.from_marks(n, [3]),
+        "random": lambda n: PhaseFunction.random(n, 0.5, 1),
+    }
+
+    @pytest.mark.parametrize("factory", sorted(FACTORIES))
+    @pytest.mark.parametrize("n", [40, 64, -1, 0])
+    def test_factories_reject_before_allocating(self, factory, n):
+        with pytest.raises(ValueError, match=rf"^spin count {n} outside 1\.\.12$"):
+            self.FACTORIES[factory](n)
 
 
 class TestNumpyIntegerSizes:
@@ -108,6 +124,6 @@ class TestStateDimension:
             state = DeviationState(given)
             assert state.rho.flags.c_contiguous and state.rho.flags.writeable
             assert np.array_equal(state.rho, h)
-            out = apply_pulse(state, PulseSpec("x", 0.9)).rho
-            want = apply_pulse(DeviationState(h.copy()), PulseSpec("x", 0.9)).rho
+            out = apply_pulse(state, 0.9).rho
+            want = apply_pulse(DeviationState(h.copy()), 0.9).rho
             assert np.array_equal(out, want)

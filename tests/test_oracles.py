@@ -12,11 +12,11 @@ from spinparity import (
     mark_count,
     phase_oracle,
     selective_phase_shift,
-    shift_index_set,
     shift_unitary_compiled,
     shift_unitary_direct,
     sign_oracle,
 )
+from spinparity.reference import brute_shift_index_set
 from spinparity.spinops import STRUCT_TOL
 
 from helpers import copy_state
@@ -153,31 +153,28 @@ class TestMarkCount:
 class TestShiftIndexSet:
     def test_half_block_is_leading_bit_zero(self):
         n = 4
-        idx = shift_index_set(ShiftSpec(8, +1), n)
-        assert np.array_equal(idx, np.arange(8))
-        t = bit_sign_table(n)
-        assert all(t.sign(1, int(l)) == +1 for l in idx)
+        block = ShiftSpec(8, +1).block(n)
+        assert block == slice(0, 8)
+        assert np.all(bit_sign_table(n)[0, block] == +1)
 
     def test_unit_block_is_index_zero(self):
-        assert list(shift_index_set(ShiftSpec(1, +1), 3)) == [0]
+        assert ShiftSpec(1, +1).block(3) == slice(0, 1)
 
     def test_negative_branch_mirrors(self):
-        idx = shift_index_set(ShiftSpec(3, -1), 3)
-        assert np.array_equal(idx, [4, 5, 6])
-        t = bit_sign_table(3)
-        assert all(t.sign(1, int(l)) == -1 for l in idx)
+        block = ShiftSpec(3, -1).block(3)
+        assert block == slice(4, 7)
+        assert np.all(bit_sign_table(3)[0, block] == -1)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_spin1_sum_is_signed_size(self, n):
         t = bit_sign_table(n)
         for m in range(1, (1 << (n - 1)) + 1):
             for sign in (+1, -1):
-                idx = shift_index_set(ShiftSpec(m, sign), n)
-                assert sum(t.sign(1, int(l)) for l in idx) == sign * m
+                assert t[0, ShiftSpec(m, sign).block(n)].sum() == sign * m
 
     def test_size_out_of_range(self):
         with pytest.raises(ValueError):
-            shift_index_set(ShiftSpec(5, +1), 3)
+            ShiftSpec(5, +1).block(3)
         with pytest.raises(ValueError):
             ShiftSpec(0, +1)
 
@@ -197,8 +194,8 @@ class TestShiftUnitary:
         n = 4
         spec = ShiftSpec(5, +1)
         product = np.ones(1 << n, dtype=complex)
-        for l in shift_index_set(spec, n):
-            product *= selective_phase_shift(n, int(l), -np.pi / 2).phases
+        for l in brute_shift_index_set(spec, n):
+            product *= selective_phase_shift(n, l, -np.pi / 2).phases
         assert np.abs(shift_unitary_direct(spec, n).phases - product).max() < STRUCT_TOL
 
     def test_commutes_with_phase_oracle(self):

@@ -94,19 +94,28 @@ class TestSpinOperator:
 class TestBitSignTable:
     def test_single_spin_row(self):
         t = bit_sign_table(1)
-        assert list(t.values[0]) == [1, -1]
+        assert t.shape == (1, 2)
+        assert list(t[0]) == [1, -1]
 
     def test_n2_index2(self):
         # s = 2 is binary 10: leading bit set, trailing bit clear
         t = bit_sign_table(2)
-        assert t.sign(1, 2) == -1
-        assert t.sign(2, 2) == +1
+        assert t[0, 2] == -1
+        assert t[1, 2] == +1
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_rows_balanced(self, n):
         t = bit_sign_table(n)
-        assert np.all(t.values.sum(axis=1) == 0)
-        assert np.all(np.abs(t.values) == 1)
+        assert t.shape == (n, 1 << n)
+        assert np.all(t.sum(axis=1) == 0)
+        assert np.all(np.abs(t) == 1)
+
+    def test_cached_and_read_only(self):
+        t = bit_sign_table(3)
+        assert bit_sign_table(3) is t
+        with pytest.raises(ValueError, match="read-only"):
+            t[0, 0] = -1
+        assert t[0, 0] == +1
 
 
 class TestBasisProjector:
@@ -118,15 +127,13 @@ class TestBasisProjector:
 
     def test_product_form_n2_s1(self):
         # (E/2 + I_1z) (x) (E/2 - I_2z) expands to diag(0, 1, 0, 0)
-        t = bit_sign_table(2)
-        assert np.allclose(basis_projector_product(t, 1).entries, np.diag([0, 1.0, 0, 0]))
+        assert np.allclose(basis_projector_product(2, 1).entries, np.diag([0, 1.0, 0, 0]))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_forms_agree(self, n):
-        t = bit_sign_table(n)
         for s in range(1 << n):
             a = basis_projector(n, s).entries
-            b = basis_projector_product(t, s).entries
+            b = basis_projector_product(n, s).entries
             assert np.abs(a - b).max() < STRUCT_TOL
 
     def test_idempotent_unit_trace(self):
@@ -145,7 +152,7 @@ class TestBasisProjector:
         with pytest.raises(IndexError):
             basis_projector(2, 4)
         with pytest.raises(IndexError):
-            basis_projector_product(bit_sign_table(2), -1)
+            basis_projector_product(2, -1)
 
 
 class TestCoherenceOrder:
