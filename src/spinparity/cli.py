@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="function source: const-plus | const-minus | single:<x> | random | file:<path>",
     )
     p.add_argument("--seed", type=int, help="seed for the random source (required with it)")
-    p.add_argument("--density", type=float, default=0.5, help="mark density for the random source")
+    p.add_argument("--density", type=float, help="mark density for the random source (default 0.5)")
     p.add_argument("--epsilon", help="comma-separated per-spin polarization parameters")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD, help="zero-detection threshold")
     p.add_argument("--snr", action="store_true", help="report amplitudes at the 2/N physical scale")
@@ -246,6 +246,14 @@ def _emit(text: str, out: str) -> None:
         sys.stdout.write(text)
 
 
+def _reject_unused(owner: str, flags: dict) -> None:
+    """Raise for the flags in ``flags`` that were given (value true) but that
+    ``owner`` would silently ignore."""
+    given = [flag for flag, on in flags.items() if on]
+    if given:
+        raise ValueError(f"{owner} does not take {', '.join(given)}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -256,35 +264,42 @@ def main(argv=None) -> int:
         epsilon = None
         if args.epsilon:
             epsilon = tuple(float(x) for x in args.epsilon.split(","))
+        if args.bench is None and not args.function:
+            print("error: --function is required (or use --bench)", file=sys.stderr)
+            return 1
+        source = args.function or "random"  # --bench times random tables by default
+        if source != "random":
+            _reject_unused(
+                f"--function {source}",
+                {"--seed": args.seed is not None, "--density": args.density is not None},
+            )
+        density = ExperimentConfig.density if args.density is None else args.density
         if args.bench is not None:
-            unused = {
-                "--n": args.n is not None,
-                "--epsilon": args.epsilon is not None,
-                "--snr": args.snr,
-                "--verify": args.verify,
-                "--format csv": args.fmt == "csv",
-            }
-            given = [flag for flag, on in unused.items() if on]
-            if given:
-                raise ValueError(f"--bench does not take {', '.join(given)}")
+            _reject_unused(
+                "--bench",
+                {
+                    "--n": args.n is not None,
+                    "--epsilon": args.epsilon is not None,
+                    "--snr": args.snr,
+                    "--verify": args.verify,
+                    "--format csv": args.fmt == "csv",
+                },
+            )
             sizes = [int(x) for x in args.bench.split(",")]
             cfg = ExperimentConfig(
-                source=args.function or "random",
+                source=source,
                 seed=args.seed if args.seed is not None else 0,
-                density=args.density,
+                density=density,
                 threshold=args.threshold,
             )
             report = bench(cfg, sizes)
             _emit(json.dumps(report, indent=2) + "\n", args.out)
             return 0
-        if not args.function:
-            print("error: --function is required (or use --bench)", file=sys.stderr)
-            return 1
         cfg = ExperimentConfig(
-            source=args.function,
+            source=source,
             n=args.n,
             seed=args.seed,
-            density=args.density,
+            density=density,
             epsilon=epsilon,
             threshold=args.threshold,
             snr=args.snr,

@@ -23,10 +23,12 @@ powers of ``-i`` with exponents ``q``, and a pair ``(r, r + 2^(n-k))`` adds
 ``sin(pi/2 * (q_r - q_{r + 2^(n-k)}))``, which is 0 or +/-1: an exact
 integer readout in O(nN), independent of the polarizations.  The engine
 holds ``q`` mod 4 as two N-bit bit planes and reads each spin as two
-popcounts over the planes and their ``2^(n-k)``-shifted copies.  The test
-suite checks the pair engine against the integer reference, which it agrees
-with exactly, and against the dense engine, which it agrees with to
-round-off.
+popcounts over the planes and their ``2^(n-k)``-shifted copies.  Both
+engines end in ``_signal``, which builds each amplitude and zero flag once,
+under the zero rule ``_zero_flags`` that the public ``SignalVector``
+constructor checks.  The test suite checks the pair engine against the
+integer reference, which it agrees with exactly, and against the dense
+engine, which it agrees with to round-off.
 """
 
 from __future__ import annotations
@@ -51,9 +53,21 @@ from .spinops import (
 DEFAULT_THRESHOLD = 1e-9
 
 
+def _zero_flags(amplitudes, threshold) -> tuple:
+    """The zero rule of every readout: an amplitude reads as zero exactly
+    when its magnitude lies below the threshold."""
+    return tuple([abs(a) < threshold for a in amplitudes])
+
+
 @dataclass(frozen=True)
 class SignalVector:
-    """Per-spin signed readout amplitudes with zero-detection flags."""
+    """Per-spin signed readout amplitudes with zero-detection flags.
+
+    The constructor converts the amplitudes to floats and the flags to bools
+    and checks the flags against the zero rule.  The engines build theirs
+    through ``_signal``, which establishes the same invariant by construction
+    and so skips the second pass.
+    """
 
     amplitudes: tuple
     zero_flags: tuple
@@ -64,11 +78,21 @@ class SignalVector:
         flags = tuple(map(bool, self.zero_flags))
         if len(amps) != len(flags):
             raise ValueError("amplitude and flag counts differ")
-        threshold = self.threshold
-        if flags != tuple([abs(a) < threshold for a in amps]):
+        if flags != _zero_flags(amps, self.threshold):
             raise ValueError("zero flags inconsistent with threshold")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "zero_flags", flags)
+
+    @classmethod
+    def _from_readout(cls, amplitudes: tuple, zero_flags: tuple, threshold: float) -> "SignalVector":
+        """Wrap a readout without checking it.  The caller guarantees what
+        the constructor would check: a tuple of Python floats and the tuple
+        of bools ``_zero_flags`` gives for them at ``threshold``."""
+        sig = object.__new__(cls)
+        object.__setattr__(sig, "amplitudes", amplitudes)
+        object.__setattr__(sig, "zero_flags", zero_flags)
+        object.__setattr__(sig, "threshold", threshold)
+        return sig
 
 
 def initial_state(system: SpinSystem) -> DeviationState:
@@ -156,15 +180,16 @@ def signal_unit(N: int, snr_mode: bool) -> float:
 
 
 def _signal(amps, N: int, threshold: float, snr_mode: bool) -> SignalVector:
-    """The readout of both engines: scale amplitudes in whole units (any
-    sequence of numbers) by ``signal_unit`` and flag those below the
-    threshold as zero.  A nonzero amplitude is at least one unit, so the
-    threshold must lie strictly between 0 and the unit."""
+    """The readout of both engines: scale amplitudes in whole units (Python
+    ints or floats) by ``signal_unit`` and flag those below the threshold as
+    zero, building each float and flag once.  A nonzero amplitude is at least
+    one unit, so the threshold must lie strictly between 0 and the unit."""
     unit = signal_unit(N, snr_mode)
     if not 0.0 < threshold < unit:
         raise ValueError(f"threshold must lie in (0, {unit:g}), got {threshold!r}")
-    amps = [a * unit for a in amps]
-    return SignalVector(amps, [abs(a) < threshold for a in amps], threshold)
+    threshold = float(threshold)  # a numpy threshold would give numpy flags
+    amps = tuple([a * unit for a in amps])
+    return SignalVector._from_readout(amps, _zero_flags(amps, threshold), threshold)
 
 
 def _off_diagonal_max(rho: np.ndarray) -> float:
@@ -204,7 +229,7 @@ def read_signal(
         )
     d = np.diag(state.rho).real
     amps = bit_sign_table(system.n) @ d / np.asarray(system.epsilon)
-    return _signal(amps, system.dim, threshold, snr_mode)
+    return _signal(amps.tolist(), system.dim, threshold, snr_mode)
 
 
 def evolved_purged_state(system: SpinSystem, f: PhaseFunction, shift: ShiftSpec = None) -> DeviationState:
@@ -273,8 +298,9 @@ def pair_sequence(
 
     At 90 degrees every phase is a power of ``-i``, so the state is held as
     its quarter-turn exponents ``q`` mod 4, in two bit planes (see
-    ``spinops.apply_diagonal``): the oracle adds ``g(x)`` and the shift adds
-    -1 on its block.  An index pair ``(r, c)`` of spin k, c = r + 2^(n-k),
+    ``spinops.apply_diagonal``): the oracle adds ``g(x)``, as the bitset
+    ``f.mark_bits`` that ``f`` packs once for all its runs, and the shift
+    adds -1 on its block.  An index pair ``(r, c)`` of spin k, c = r + 2^(n-k),
     then adds ``sin(pi/2 * (q_r - q_c))`` to that spin's amplitude; the
     polarization cancels.  The sine is +/-1 exactly when ``q_r`` and ``q_c``
     differ in bit 0 (``odd``), and -1 when moreover ``q_c = q_r + 1`` mod 4,
@@ -285,8 +311,7 @@ def pair_sequence(
     if f.n != system.n:
         raise ValueError(f"truth table is for n={f.n}, system has n={system.n}")
     n, N = system.n, system.dim
-    marks = int.from_bytes(np.packbits(f.marks, bitorder="little").tobytes(), "little")
-    q = apply_diagonal((0, 0), marks, +1)
+    q = apply_diagonal((0, 0), f.mark_bits, +1)
     if shift is not None:
         block = shift.block(n)
         q = apply_diagonal(q, (1 << block.stop) - (1 << block.start), -1)

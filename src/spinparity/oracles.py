@@ -14,6 +14,7 @@ selective, sign and block shifts, which only the tests use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,8 +34,10 @@ class PhaseFunction:
 
     ``marks[x]`` is True exactly when ``f(x) = -1``; equivalently the binary
     exponent g(x) with ``f(x) = exp(-i pi g(x))`` is 1 there and 0 elsewhere.
-    ``marks`` is a read-only copy of the given table, so neither the caller's
-    array nor a write through ``f.marks`` can change a built function.
+    ``marks`` is a read-only copy of the given table over immutable bytes, so
+    neither the caller's array nor a write through ``f.marks`` can change a
+    built function (``f.marks.setflags(write=True)`` raises), and
+    ``mark_bits``, packed from it once, always agrees with it.
     """
 
     n: int
@@ -50,12 +53,22 @@ class PhaseFunction:
         m = m.astype(bool)
         if m.shape[0] != 1 << self.n:
             raise ValueError(f"expected {1 << self.n} truth-table entries, got {m.shape[0]}")
-        m.setflags(write=False)
-        object.__setattr__(self, "marks", m)
+        object.__setattr__(self, "marks", np.frombuffer(m.tobytes(), dtype=bool))
+
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor, so each gets
+        # read-only marks of its own and packs its own ``mark_bits``
+        return (type(self), (self.n, self.marks))
 
     @property
     def dim(self) -> int:
         return 1 << self.n
+
+    @cached_property
+    def mark_bits(self) -> int:
+        """The marked set as an N-bit int, bit x set exactly when x is
+        marked: packed on first use and kept for every later run."""
+        return int.from_bytes(np.packbits(self.marks, bitorder="little").tobytes(), "little")
 
     def values(self) -> np.ndarray:
         """f(x) as a +/-1 integer vector."""

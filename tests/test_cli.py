@@ -274,6 +274,32 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("error: --bench does not take ")
 
+    @pytest.mark.parametrize(
+        "argv, source, flags",
+        [
+            ("--n 3 --function single:2 --density 7", "single:2", "--density"),
+            ("--function const-plus --seed 5 --density 0.3", "const-plus", "--seed, --density"),
+            ("--bench 2 --function const-minus --seed 1", "const-minus", "--seed"),
+        ],
+    )
+    def test_non_random_source_rejects_seed_and_density(self, argv, source, flags, capsys):
+        assert main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --function {source} does not take {flags}\n"
+
+    def test_file_source_rejects_seed(self, tmp_path, capsys):
+        table = tmp_path / "f.txt"
+        table.write_text("2\n+--+\n")
+        assert main(["--function", f"file:{table}", "--seed", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --function file:{table} does not take --seed\n"
+
+    def test_random_source_takes_seed_and_density(self, capsys):
+        assert main(["--n", "4", "--function", "random", "--seed", "3", "--density", "0.25"]) == 0
+        assert main(["--bench", "2", "--seed", "3", "--density", "0.25"]) == 0
+
     @pytest.mark.parametrize("n", ["40", "64", "-1"])
     @pytest.mark.parametrize(
         "argv",

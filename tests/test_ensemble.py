@@ -298,6 +298,8 @@ class TestReadSignal:
     def test_signal_vector_flag_consistency(self):
         with pytest.raises(ValueError):
             SignalVector((0.5,), (True,), 1e-9)
+        with pytest.raises(ValueError, match="counts differ"):
+            SignalVector((0.5, 0.0), (False,), 1e-9)
 
 
 class TestConjugationExpansions:

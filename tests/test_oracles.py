@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from spinparity import (
     DeviationState,
     PhaseFunction,
     ShiftSpec,
+    SpinSystem,
     basis_projector,
     bit_sign_table,
     block_phase_shift,
@@ -15,6 +19,7 @@ from spinparity import (
     shift_unitary_compiled,
     shift_unitary_direct,
     sign_oracle,
+    solve_parity,
 )
 from spinparity.reference import brute_shift_index_set
 from spinparity.spinops import STRUCT_TOL
@@ -77,7 +82,59 @@ class TestPhaseFunction:
         assert mark_count(f) == 0
         with pytest.raises(ValueError):
             f.marks[5] = True
+        with pytest.raises(ValueError):
+            f.marks.setflags(write=True)
         assert not f.marks.any()
+        assert f.mark_bits == 0
+
+    def test_copies_and_pickles_stay_read_only(self):
+        f = PhaseFunction.from_marks(4, [2, 11])
+        bits = f.mark_bits
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g.n == 4 and np.array_equal(g.marks, f.marks)
+            with pytest.raises(ValueError):
+                g.marks.setflags(write=True)
+            assert g.mark_bits == bits
+
+
+class TestMarkBits:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_the_marked_set(self, n):
+        N = 1 << n
+        rng = np.random.default_rng(900 + n)
+        tables = [
+            PhaseFunction.constant(n, +1),
+            PhaseFunction.constant(n, -1),
+            PhaseFunction.single(n, 0),
+            PhaseFunction.single(n, N - 1),
+            PhaseFunction.single(n, int(rng.integers(N))),
+            PhaseFunction.from_marks(n, []),
+            PhaseFunction.from_marks(n, range(N)),
+            PhaseFunction.random(n, 0.5, seed=n),
+            PhaseFunction.random(n, 0.1, seed=100 + n),
+            PhaseFunction(n, rng.random(N) < 0.9),
+        ]
+        for f in tables:
+            bits = f.mark_bits
+            assert type(bits) is int
+            assert bits == sum(1 << x for x in range(N) if f.marks[x]), np.flatnonzero(f.marks)
+
+    def test_packed_once_per_function(self, monkeypatch):
+        calls = []
+        packbits = np.packbits
+
+        def counting_packbits(*args, **kwargs):
+            calls.append(args)
+            return packbits(*args, **kwargs)
+
+        monkeypatch.setattr(np, "packbits", counting_packbits)
+        f = PhaseFunction.from_marks(10, [3, 700, 1023])
+        trace = solve_parity(SpinSystem(10), f)
+        assert trace.uo_calls > 1 and trace.parity == -1
+        assert f.mark_bits == (1 << 3) | (1 << 700) | (1 << 1023)
+        assert len(calls) == 1
+        assert PhaseFunction(10, f.marks).mark_bits == f.mark_bits  # a new function packs its own
+        assert len(calls) == 2
 
 
 class TestSelectivePhaseShift:

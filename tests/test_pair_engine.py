@@ -9,6 +9,7 @@ import pytest
 from spinparity import (
     PhaseFunction,
     ShiftSpec,
+    SignalVector,
     SpinSystem,
     brute_parity,
     brute_shifted_signal,
@@ -16,7 +17,7 @@ from spinparity import (
     solve_parity,
 )
 from spinparity import ensemble
-from spinparity.ensemble import pair_sequence
+from spinparity.ensemble import DEFAULT_THRESHOLD, pair_sequence
 from spinparity.spinops import op_counts, reset_op_counts
 
 from helpers import function_from_mask
@@ -85,6 +86,32 @@ def test_amplitudes_are_whole_units(n, snr_mode):
         sig = pair_sequence(system, f, spec, threshold=0.5 * unit, snr_mode=snr_mode)
         for a in sig.amplitudes:
             assert a == round(a / unit) * unit, (n, spec, sig.amplitudes)
+
+
+def _assert_readouts_pass_public_constructor(engine, n, snr_mode):
+    """The engines build their readout without the constructor's checks: it
+    must hold Python floats and bools and be what the constructor builds,
+    at the default floor and at half a unit given as a numpy float."""
+    for system, f, spec in _cases(n):
+        unit = 2.0 / system.dim if snr_mode else 1.0
+        for threshold in (DEFAULT_THRESHOLD, np.float64(0.5 * unit)):
+            sig = engine(system, f, spec, threshold, snr_mode)
+            where = f"n={n} shift={spec} threshold={threshold!r}"
+            assert all(type(a) is float for a in sig.amplitudes), where
+            assert all(type(z) is bool for z in sig.zero_flags), where
+            assert sig == SignalVector(sig.amplitudes, sig.zero_flags, sig.threshold), where
+
+
+@pytest.mark.parametrize("snr_mode", [False, True])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_pair_readout_passes_public_constructor(n, snr_mode):
+    _assert_readouts_pass_public_constructor(pair_sequence, n, snr_mode)
+
+
+@pytest.mark.parametrize("snr_mode", [False, True])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dense_readout_passes_public_constructor(n, snr_mode):
+    _assert_readouts_pass_public_constructor(run_sequence, n, snr_mode)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
