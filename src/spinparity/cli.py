@@ -26,7 +26,7 @@ from .ensemble import DEFAULT_THRESHOLD, run_sequence
 from .oracles import PhaseFunction
 from .protocol import solve_parity
 from .reference import reference_report
-from .spinops import DEFAULT_QUBIT_CAP, SpinSystem, op_counts, reset_op_counts
+from .spinops import SpinSystem, check_spin_count, op_counts, reset_op_counts
 
 
 class TruthTableError(ValueError):
@@ -38,9 +38,10 @@ def parse_truth_table_text(text: str) -> PhaseFunction:
     header = lines[0].rstrip(" \t\r") if lines else ""
     if not (header.isascii() and header.isdigit()):
         raise TruthTableError(f"line 1: expected a spin count, got {header!r}")
-    n = int(header)
-    if not 1 <= n <= DEFAULT_QUBIT_CAP:
-        raise TruthTableError(f"line 1: spin count {n} outside 1..{DEFAULT_QUBIT_CAP}")
+    try:
+        n = check_spin_count(int(header))
+    except ValueError as exc:
+        raise TruthTableError(f"line 1: {exc}") from None
     if len(lines) < 2:
         raise TruthTableError("line 2: missing truth-table row")
     row = lines[1].rstrip(" \t\r")
@@ -80,17 +81,25 @@ class ExperimentConfig:
     """One experiment: a single function source plus execution options.
 
     ``source`` is one of ``const-plus``, ``const-minus``, ``single:<x>``,
-    ``random`` (requires ``seed``), or ``file:<path>``.
+    ``random`` (requires ``seed``), or ``file:<path>``.  Only ``random``
+    takes ``seed`` and ``density`` (default 0.5); other sources reject them.
     """
 
     source: str
     n: int = None
     seed: int = None
-    density: float = 0.5
+    density: float = None
     epsilon: tuple = None
     threshold: float = DEFAULT_THRESHOLD
     snr: bool = False
     verify: bool = False
+
+    def __post_init__(self):
+        if self.source != "random":
+            _reject_unused(
+                f"--function {self.source}",
+                {"--seed": self.seed is not None, "--density": self.density is not None},
+            )
 
 
 def resolve_function(cfg: ExperimentConfig, n: int = None) -> PhaseFunction:
@@ -101,15 +110,20 @@ def resolve_function(cfg: ExperimentConfig, n: int = None) -> PhaseFunction:
         return PhaseFunction.constant(n, +1 if src == "const-plus" else -1)
     if src.startswith("single:"):
         _require_n(n, src)
+        index = src.split(":", 1)[1]
         try:
-            return PhaseFunction.single(n, int(src.split(":", 1)[1]))
+            x0 = int(index)
+        except ValueError:
+            raise ValueError(f"single:<x> needs an integer index x, got {index!r}") from None
+        try:
+            return PhaseFunction.single(n, x0)
         except IndexError as exc:
             raise ValueError(str(exc)) from None
     if src == "random":
         _require_n(n, src)
         if cfg.seed is None:
             raise ValueError("the random function source requires --seed for reproducibility")
-        return PhaseFunction.random(n, cfg.density, cfg.seed)
+        return PhaseFunction.random(n, 0.5 if cfg.density is None else cfg.density, cfg.seed)
     if src.startswith("file:"):
         f = parse_truth_table(src.split(":", 1)[1])
         if n is not None and f.n != n:
@@ -268,12 +282,6 @@ def main(argv=None) -> int:
             print("error: --function is required (or use --bench)", file=sys.stderr)
             return 1
         source = args.function or "random"  # --bench times random tables by default
-        if source != "random":
-            _reject_unused(
-                f"--function {source}",
-                {"--seed": args.seed is not None, "--density": args.density is not None},
-            )
-        density = ExperimentConfig.density if args.density is None else args.density
         if args.bench is not None:
             _reject_unused(
                 "--bench",
@@ -288,8 +296,9 @@ def main(argv=None) -> int:
             sizes = [int(x) for x in args.bench.split(",")]
             cfg = ExperimentConfig(
                 source=source,
-                seed=args.seed if args.seed is not None else 0,
-                density=density,
+                # seeded by default, but only the random source takes a seed
+                seed=0 if args.seed is None and source == "random" else args.seed,
+                density=args.density,
                 threshold=args.threshold,
             )
             report = bench(cfg, sizes)
@@ -299,7 +308,7 @@ def main(argv=None) -> int:
             source=source,
             n=args.n,
             seed=args.seed,
-            density=density,
+            density=args.density,
             epsilon=epsilon,
             threshold=args.threshold,
             snr=args.snr,

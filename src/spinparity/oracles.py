@@ -18,17 +18,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .spinops import DEFAULT_QUBIT_CAP, DiagonalUnitary
+from .spinops import DiagonalUnitary, check_spin_count
 
 
-def _check_spin_count(n) -> None:
-    """Reject a spin count outside 1..DEFAULT_QUBIT_CAP before anything of
-    size 2^n is allocated."""
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= DEFAULT_QUBIT_CAP:
-        raise ValueError(f"spin count {n!r} outside 1..{DEFAULT_QUBIT_CAP}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseFunction:
     """Truth table of f: {0..N-1} -> {+1, -1}, stored as the marked set.
 
@@ -37,16 +30,16 @@ class PhaseFunction:
     ``marks`` is a read-only copy of the given table over immutable bytes, so
     neither the caller's array nor a write through ``f.marks`` can change a
     built function (``f.marks.setflags(write=True)`` raises), and
-    ``mark_bits``, packed from it once, always agrees with it.
+    ``mark_bits``, packed from it once, always agrees with it.  Two
+    functions are equal, and hash alike, exactly when they have the same
+    ``n`` and the same marked set.
     """
 
     n: int
     marks: np.ndarray
 
     def __post_init__(self):
-        _check_spin_count(self.n)
-        # a numpy size would carry int64 into every count derived from n
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", check_spin_count(self.n))
         m = np.asarray(self.marks).reshape(-1)
         if m.dtype != bool and not np.all((m == 0) | (m == 1)):
             raise ValueError("truth-table entries must be bools or 0/1 marks")
@@ -59,6 +52,14 @@ class PhaseFunction:
         # copies and pickles rebuild through the constructor, so each gets
         # read-only marks of its own and packs its own ``mark_bits``
         return (type(self), (self.n, self.marks))
+
+    def __eq__(self, other):
+        if not isinstance(other, PhaseFunction):
+            return NotImplemented
+        return self.n == other.n and self.mark_bits == other.mark_bits
+
+    def __hash__(self):
+        return hash((self.n, self.mark_bits))
 
     @property
     def dim(self) -> int:
@@ -80,29 +81,25 @@ class PhaseFunction:
 
     @classmethod
     def constant(cls, n: int, value: int = +1) -> "PhaseFunction":
-        _check_spin_count(n)
+        n = check_spin_count(n)
         if value not in (+1, -1):
             raise ValueError("constant value must be +1 or -1")
         return cls(n, np.full(1 << n, value == -1))
 
     @classmethod
     def single(cls, n: int, x0: int) -> "PhaseFunction":
-        _check_spin_count(n)
-        N = 1 << n
-        if not 0 <= x0 < N:
-            raise IndexError(f"marked index {x0} outside 0..{N - 1}")
-        m = np.zeros(N, dtype=bool)
-        m[x0] = True
-        return cls(n, m)
+        return cls.from_marks(n, [x0])
 
     @classmethod
     def from_marks(cls, n: int, marked) -> "PhaseFunction":
-        _check_spin_count(n)
+        """The function marking exactly the indices in ``marked``; each must
+        be a non-bool integer in ``0..2**n - 1``, else ``IndexError``."""
+        n = check_spin_count(n)
         N = 1 << n
         m = np.zeros(N, dtype=bool)
         for x in marked:
-            if not 0 <= x < N:
-                raise IndexError(f"marked index {x} outside 0..{N - 1}")
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < N:
+                raise IndexError(f"marked index {x!r} is not an integer in 0..{N - 1}")
             m[x] = True
         return cls(n, m)
 
@@ -111,7 +108,7 @@ class PhaseFunction:
         """Seeded random truth table; each index is marked with probability
         ``density``.  Uses numpy's PCG64 generator so identical seeds give
         identical tables on every platform."""
-        _check_spin_count(n)
+        n = check_spin_count(n)
         if not 0.0 <= density <= 1.0:
             raise ValueError("mark density must lie in [0, 1]")
         rng = np.random.default_rng(seed)
@@ -144,7 +141,7 @@ class ShiftSpec:
     def __post_init__(self):
         if self.sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
-        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
+        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)) or self.m < 1:
             raise ValueError(f"shift size must be a positive integer, got {self.m!r}")
         # a numpy size would carry int64 into the big-integer shift bitset
         object.__setattr__(self, "m", int(self.m))

@@ -84,8 +84,6 @@ def solve_parity(
     signs and zero flags, so the control flow is unchanged.  Raises
     ``SignalError`` when a probe's spin-1 amplitude breaks the parity walk.
     """
-    if f.n != system.n:
-        raise ValueError(f"truth table is for n={f.n}, system has n={system.n}")
     half = system.dim // 2
     records = []
 

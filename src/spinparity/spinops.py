@@ -41,6 +41,18 @@ def op_counts() -> dict:
     return dict(_OP_COUNTS)
 
 
+def check_spin_count(n) -> int:
+    """The spin count ``n`` as a Python int, so no ``1 << n`` wraps in int64;
+    ``ValueError`` unless it is a non-bool integer in 1..DEFAULT_QUBIT_CAP.
+    Called before anything of size ``2**n`` is allocated."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"spin count must be an integer, got {n!r}")
+    n = int(n)
+    if not 1 <= n <= DEFAULT_QUBIT_CAP:
+        raise ValueError(f"spin count {n} outside 1..{DEFAULT_QUBIT_CAP}")
+    return n
+
+
 @dataclass(frozen=True)
 class SpinSystem:
     """Work register: spin count and per-spin polarization parameters.
@@ -58,12 +70,7 @@ class SpinSystem:
     epsilon: tuple = None
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"spin count must be a positive integer, got {self.n!r}")
-        if self.n > DEFAULT_QUBIT_CAP:
-            raise ValueError(f"n={self.n} exceeds the dense-matrix cap of {DEFAULT_QUBIT_CAP}")
-        # a numpy size would make every ``1 << n`` downstream wrap in int64
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", check_spin_count(self.n))
         eps = self.epsilon
         if eps is None:
             eps = (1.0,) * self.n
@@ -192,24 +199,22 @@ def conjugate(u, state: DeviationState) -> DeviationState:
     temporary); dense matrix products are reserved for general ``Operator``
     inputs, whose result is validated before it is written back.
     """
+    if not isinstance(u, (DiagonalUnitary, Operator)):
+        raise TypeError(f"cannot conjugate by {type(u).__name__}")
+    if u.dim != state.dim:
+        raise ValueError(f"dimension mismatch: {u.dim} vs {state.dim}")
     rho = state.rho
     if isinstance(u, DiagonalUnitary):
-        if u.dim != state.dim:
-            raise ValueError(f"dimension mismatch: {u.dim} vs {state.dim}")
         _OP_COUNTS["diagonal"] += 1
         p = u.phases
         # elementwise scaling preserves hermiticity and trace exactly
         rho *= p.conj()[None, :]
         rho *= p[:, None]
         return state
-    if isinstance(u, Operator):
-        if u.dim != state.dim:
-            raise ValueError(f"dimension mismatch: {u.dim} vs {state.dim}")
-        _OP_COUNTS["dense"] += 1
-        m = u.entries
-        rho[...] = DeviationState(m @ rho @ m.conj().T).rho
-        return state
-    raise TypeError(f"cannot conjugate by {type(u).__name__}")
+    _OP_COUNTS["dense"] += 1
+    m = u.entries
+    rho[...] = DeviationState(m @ rho @ m.conj().T).rho
+    return state
 
 
 def apply_diagonal(q: tuple, e: int, sign: int) -> tuple:

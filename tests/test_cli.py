@@ -53,7 +53,7 @@ class TestParseTruthTable:
             parse_truth_table_text("two\n++++")
 
     def test_spin_count_out_of_cap(self):
-        with pytest.raises(TruthTableError, match=r"line 1"):
+        with pytest.raises(TruthTableError, match=r"^line 1: spin count 13 outside 1\.\.12$"):
             parse_truth_table_text("13\n" + "+" * 8192)
 
     def test_missing_row(self):
@@ -124,6 +124,25 @@ class TestResolveFunction:
     def test_missing_n(self):
         with pytest.raises(ValueError, match="requires --n"):
             resolve_function(ExperimentConfig("const-plus"))
+
+    @pytest.mark.parametrize("source", ["const-plus", "const-minus", "single:2", "file:t.txt", "dice"])
+    @pytest.mark.parametrize(
+        "options, flags",
+        [({"seed": 5, "density": 7.0}, "--seed, --density"), ({"seed": 0}, "--seed"),
+         ({"density": 0.5}, "--density")],
+    )
+    def test_seed_and_density_belong_to_the_random_source(self, source, options, flags):
+        # the library used to ignore them and return, say, the constant table
+        with pytest.raises(ValueError, match=rf"^--function {source} does not take {flags}$"):
+            ExperimentConfig(source, n=3, **options)
+
+    def test_random_density_defaults_to_half(self):
+        f = resolve_function(ExperimentConfig("random", n=6, seed=9))
+        assert f == PhaseFunction.random(6, 0.5, 9)
+
+    def test_single_needs_an_integer_index(self):
+        with pytest.raises(ValueError, match=r"^single:<x> needs an integer index x, got 'abc'$"):
+            resolve_function(ExperimentConfig("single:abc", n=3))
 
     def test_file_spin_count_conflict(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -213,7 +232,7 @@ class TestBench:
 
     def test_rejects_file_source(self):
         with pytest.raises(ValueError, match="size-independent"):
-            bench(ExperimentConfig("file:whatever", seed=0), [2])
+            bench(ExperimentConfig("file:whatever"), [2])
 
 
 class TestMain:
@@ -296,6 +315,17 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == f"error: --function file:{table} does not take --seed\n"
 
+    @pytest.mark.parametrize("index", ["abc", "", "1.5", "0x3"])
+    def test_single_source_needs_an_integer_index(self, index, capsys):
+        assert main(["--n", "3", "--function", f"single:{index}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: single:<x> needs an integer index x, got {index!r}\n"
+
+    def test_bench_seeds_only_the_random_source(self, capsys):
+        assert main(["--bench", "2", "--function", "const-plus"]) == 0
+        assert json.loads(capsys.readouterr().out)["sizes"] == [2]
+
     def test_random_source_takes_seed_and_density(self, capsys):
         assert main(["--n", "4", "--function", "random", "--seed", "3", "--density", "0.25"]) == 0
         assert main(["--bench", "2", "--seed", "3", "--density", "0.25"]) == 0
@@ -333,9 +363,7 @@ class TestMain:
     )
     def test_out_of_range_single_index_rejected(self, argv, capsys):
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == "error: marked index 5 is not an integer in 0..3\n"
 
     def test_parser_built_once(self, monkeypatch, tmp_path, capsys):
         built = []

@@ -1,6 +1,7 @@
 """Inputs that used to pass validation and give silently wrong results or
-numpy's own errors: numpy integer sizes, NaN entries in the structural
-checks, and states whose dimension is not a power of two."""
+numpy's own errors: numpy integer sizes, bool sizes and indices, NaN
+entries in the structural checks, and states whose dimension is not a power
+of two."""
 
 import dataclasses
 import json
@@ -42,6 +43,45 @@ class TestSpinCountBeforeAllocation:
     def test_factories_reject_before_allocating(self, factory, n):
         with pytest.raises(ValueError, match=rf"^spin count {n} outside 1\.\.12$"):
             self.FACTORIES[factory](n)
+
+    # the constructors and the factories read the one rule,
+    # spinops.check_spin_count
+    SIZED = {"SpinSystem": SpinSystem, "PhaseFunction": lambda n: PhaseFunction(n, []), **FACTORIES}
+
+    @pytest.mark.parametrize("entry", ["SpinSystem", "PhaseFunction"])
+    @pytest.mark.parametrize("n", [13, 40, -1, 0])
+    def test_constructors_give_the_one_message(self, entry, n):
+        with pytest.raises(ValueError, match=rf"^spin count {n} outside 1\.\.12$"):
+            self.SIZED[entry](n)
+
+    @pytest.mark.parametrize("entry", sorted(SIZED))
+    @pytest.mark.parametrize("n", [True, False, np.True_, 3.0, "3", None])
+    def test_non_integer_counts_rejected(self, entry, n):
+        # a bool is not a spin count, though True == 1
+        with pytest.raises(ValueError, match=r"^spin count must be an integer, got "):
+            self.SIZED[entry](n)
+
+
+class TestMarkedIndex:
+    # single(3, True) used to mark all 8 indices (numpy read the bool as a
+    # mask), so the parity read +1 where index 1 alone gives -1, and
+    # from_marks(3, [False]) marked nothing
+    @pytest.mark.parametrize("x", [True, False, np.True_, 1.5, 1.0, "1", None, -1, 8])
+    def test_single_and_from_marks_reject(self, x):
+        with pytest.raises(IndexError, match=r"^marked index .* is not an integer in 0\.\.7$"):
+            PhaseFunction.single(3, x)
+        with pytest.raises(IndexError, match=r"^marked index .* is not an integer in 0\.\.7$"):
+            PhaseFunction.from_marks(3, [2, x])
+
+    def test_numpy_integer_index_accepted(self):
+        f = PhaseFunction.single(3, np.int64(1))
+        assert f == PhaseFunction.from_marks(3, [1]) == PhaseFunction.from_marks(3, np.array([1]))
+        assert brute_parity(f) == -1
+
+    @pytest.mark.parametrize("m", [True, False, np.True_, 1.0, 0, -2])
+    def test_shift_size_rejects_bools_and_non_positive(self, m):
+        with pytest.raises(ValueError, match="shift size must be a positive integer"):
+            ShiftSpec(m, 1)
 
 
 class TestNumpyIntegerSizes:

@@ -96,6 +96,31 @@ class TestPhaseFunction:
                 g.marks.setflags(write=True)
             assert g.mark_bits == bits
 
+    def test_equality_and_hash_follow_size_and_marks(self):
+        f = PhaseFunction.from_marks(4, [2, 11])
+        same = [
+            PhaseFunction(4, f.marks.copy()),
+            PhaseFunction(4, f.exponents()),
+            PhaseFunction.from_marks(4, [11, 2, 2]),
+            copy.copy(f),
+            copy.deepcopy(f),
+            pickle.loads(pickle.dumps(f)),
+        ]
+        for g in same:
+            assert g == f and not g != f and hash(g) == hash(f)
+        assert len({f, *same}) == 1
+        assert {f: "f"}[same[-1]] == "f"
+        different = [
+            PhaseFunction.from_marks(4, [2]),
+            PhaseFunction.from_marks(4, [2, 12]),
+            PhaseFunction.from_marks(5, [2, 11]),  # same mark_bits, other n
+            PhaseFunction.constant(4, -1),
+        ]
+        for g in different:
+            assert g != f and not g == f
+        assert len({f, *different}) == 5
+        assert f != (4, f.mark_bits) and f != f.mark_bits
+
 
 class TestMarkBits:
     @pytest.mark.parametrize("n", range(1, 13))

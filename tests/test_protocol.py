@@ -103,7 +103,8 @@ class TestTraceInvariants:
             assert np.all(base % 2 == mark_count(f) % 2)
 
     def test_mismatched_function_rejected(self):
-        with pytest.raises(ValueError):
+        # the base run's engine call raises before any work
+        with pytest.raises(ValueError, match=r"^truth table is for n=2, system has n=3$"):
             solve_parity(SpinSystem(3), PhaseFunction.constant(2, +1))
 
     def test_run_trace_validation(self):
