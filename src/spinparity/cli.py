@@ -260,6 +260,18 @@ def _emit(text: str, out: str) -> None:
         sys.stdout.write(text)
 
 
+def _parse_list(flag: str, text: str, kind, what: str) -> list:
+    """The comma-separated items of ``flag``'s value ``text``, each read by
+    ``kind``; a bad item raises ``ValueError`` naming the flag and the item."""
+    items = []
+    for i, item in enumerate(text.split(","), start=1):
+        try:
+            items.append(kind(item))
+        except ValueError:
+            raise ValueError(f"{flag} item {i} must be {what}, got {item!r}") from None
+    return items
+
+
 def _reject_unused(owner: str, flags: dict) -> None:
     """Raise for the flags in ``flags`` that were given (value true) but that
     ``owner`` would silently ignore."""
@@ -277,7 +289,7 @@ def main(argv=None) -> int:
     try:
         epsilon = None
         if args.epsilon:
-            epsilon = tuple(float(x) for x in args.epsilon.split(","))
+            epsilon = tuple(_parse_list("--epsilon", args.epsilon, float, "a number"))
         if args.bench is None and not args.function:
             print("error: --function is required (or use --bench)", file=sys.stderr)
             return 1
@@ -293,7 +305,7 @@ def main(argv=None) -> int:
                     "--format csv": args.fmt == "csv",
                 },
             )
-            sizes = [int(x) for x in args.bench.split(",")]
+            sizes = _parse_list("--bench", args.bench, int, "an integer")
             cfg = ExperimentConfig(
                 source=source,
                 # seeded by default, but only the random source takes a seed

@@ -21,6 +21,11 @@ import numpy as np
 from .spinops import DiagonalUnitary, check_spin_count
 
 
+def _is_sign(value) -> bool:
+    """True for +1 or -1; a bool is not a sign, though True == 1."""
+    return not isinstance(value, (bool, np.bool_)) and value in (+1, -1)
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseFunction:
     """Truth table of f: {0..N-1} -> {+1, -1}, stored as the marked set.
@@ -82,7 +87,7 @@ class PhaseFunction:
     @classmethod
     def constant(cls, n: int, value: int = +1) -> "PhaseFunction":
         n = check_spin_count(n)
-        if value not in (+1, -1):
+        if not _is_sign(value):
             raise ValueError("constant value must be +1 or -1")
         return cls(n, np.full(1 << n, value == -1))
 
@@ -139,7 +144,7 @@ class ShiftSpec:
     sign: int
 
     def __post_init__(self):
-        if self.sign not in (+1, -1):
+        if not _is_sign(self.sign):
             raise ValueError("sign must be +1 or -1")
         if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)) or self.m < 1:
             raise ValueError(f"shift size must be a positive integer, got {self.m!r}")

@@ -30,7 +30,7 @@ from .ensemble import DEFAULT_THRESHOLD, signal_unit
 # ``protocol.run_sequence`` as the sequence run the solver reaches.
 from .ensemble import pair_sequence as run_sequence
 from .oracles import PhaseFunction, ShiftSpec
-from .spinops import SpinSystem
+from .spinops import SpinSystem, integer_spin_count
 
 
 class SignalError(ValueError):
@@ -137,7 +137,9 @@ def solve_parity(
 
 def projected_call_counts(n: int) -> dict:
     """Worst-case oracle budget: n sequence runs, each consuming one
-    90-degree oracle application, i.e. two sign-oracle calls."""
+    90-degree oracle application, i.e. two sign-oracle calls.  Uncapped: no
+    state is built."""
+    n = integer_spin_count(n)
     if n < 1:
         raise ValueError("spin count must be >= 1")
     return {"uo": n, "uf": 2 * n}

@@ -41,13 +41,20 @@ def op_counts() -> dict:
     return dict(_OP_COUNTS)
 
 
-def check_spin_count(n) -> int:
+def integer_spin_count(n) -> int:
     """The spin count ``n`` as a Python int, so no ``1 << n`` wraps in int64;
-    ``ValueError`` unless it is a non-bool integer in 1..DEFAULT_QUBIT_CAP.
-    Called before anything of size ``2**n`` is allocated."""
+    ``ValueError`` unless it is a non-bool integer.  The integer half of
+    ``check_spin_count``, for counts that no state is built for."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"spin count must be an integer, got {n!r}")
-    n = int(n)
+    return int(n)
+
+
+def check_spin_count(n) -> int:
+    """The spin count ``n`` as a Python int; ``ValueError`` unless it is a
+    non-bool integer in 1..DEFAULT_QUBIT_CAP.  Called before anything of size
+    ``2**n`` is allocated."""
+    n = integer_spin_count(n)
     if not 1 <= n <= DEFAULT_QUBIT_CAP:
         raise ValueError(f"spin count {n} outside 1..{DEFAULT_QUBIT_CAP}")
     return n

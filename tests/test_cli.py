@@ -322,6 +322,22 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == f"error: single:<x> needs an integer index x, got {index!r}\n"
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            ("--bench 2,x", "--bench item 2 must be an integer, got 'x'"),
+            ("--bench 1.5", "--bench item 1 must be an integer, got '1.5'"),
+            ("--bench 2,,3", "--bench item 2 must be an integer, got ''"),
+            ("--n 2 --function const-plus --epsilon 1,a", "--epsilon item 2 must be a number, got 'a'"),
+            ("--n 3 --function const-plus --epsilon 1,2,", "--epsilon item 3 must be a number, got ''"),
+        ],
+    )
+    def test_list_flags_name_the_bad_item(self, argv, err, capsys):
+        assert main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
+
     def test_bench_seeds_only_the_random_source(self, capsys):
         assert main(["--bench", "2", "--function", "const-plus"]) == 0
         assert json.loads(capsys.readouterr().out)["sizes"] == [2]

@@ -84,6 +84,21 @@ class TestMarkedIndex:
             ShiftSpec(m, 1)
 
 
+class TestSign:
+    # a bool is no sign, though True == 1
+    @pytest.mark.parametrize("sign", [True, False, np.True_, 0, 2, "1", None])
+    def test_shift_and_constant_reject(self, sign):
+        with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
+            ShiftSpec(1, sign)
+        with pytest.raises(ValueError, match=r"^constant value must be \+1 or -1$"):
+            PhaseFunction.constant(3, sign)
+
+    @pytest.mark.parametrize("sign", [1, -1, np.int64(1), np.int64(-1)])
+    def test_integer_signs_accepted(self, sign):
+        assert ShiftSpec(1, sign).sign == sign
+        assert PhaseFunction.constant(3, sign).marks.all() == (sign == -1)
+
+
 class TestNumpyIntegerSizes:
     def test_sizes_stored_as_python_ints(self):
         assert type(SpinSystem(np.int64(6)).n) is int

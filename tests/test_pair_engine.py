@@ -13,6 +13,9 @@ from spinparity import (
     SpinSystem,
     brute_parity,
     brute_shifted_signal,
+    brute_spin_sums,
+    evolved_purged_state,
+    read_signal,
     run_sequence,
     solve_parity,
 )
@@ -64,63 +67,42 @@ def _cases(n):
     return _exhaustive(n) if n <= 3 else _seeded(n)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_exhaustive_small_registers(n):
-    for case in _exhaustive(n):
-        _assert_engines_agree(*case)
-
-
-@pytest.mark.parametrize("n", range(4, 11))
-def test_random_functions_shifts_and_polarizations(n):
-    for case in _seeded(n):
-        _assert_engines_agree(*case)
-
-
-@pytest.mark.parametrize("snr_mode", [False, True])
-@pytest.mark.parametrize("n", range(1, 11))
-def test_amplitudes_are_whole_units(n, snr_mode):
-    # exact integer multiples of the unit, so no amplitude sits strictly
-    # between a flagged zero and one unit for any threshold in (0, unit)
-    unit = 2.0 / (1 << n) if snr_mode else 1.0
-    for system, f, spec in _cases(n):
-        sig = pair_sequence(system, f, spec, threshold=0.5 * unit, snr_mode=snr_mode)
-        for a in sig.amplitudes:
-            assert a == round(a / unit) * unit, (n, spec, sig.amplitudes)
-
-
-def _assert_readouts_pass_public_constructor(engine, n, snr_mode):
+def _assert_built_like_public_constructor(sig, where):
     """The engines build their readout without the constructor's checks: it
-    must hold Python floats and bools and be what the constructor builds,
-    at the default floor and at half a unit given as a numpy float."""
-    for system, f, spec in _cases(n):
-        unit = 2.0 / system.dim if snr_mode else 1.0
-        for threshold in (DEFAULT_THRESHOLD, np.float64(0.5 * unit)):
-            sig = engine(system, f, spec, threshold, snr_mode)
-            where = f"n={n} shift={spec} threshold={threshold!r}"
-            assert all(type(a) is float for a in sig.amplitudes), where
-            assert all(type(z) is bool for z in sig.zero_flags), where
-            assert sig == SignalVector(sig.amplitudes, sig.zero_flags, sig.threshold), where
+    must hold Python floats and bools and be what the constructor builds."""
+    assert all(type(a) is float for a in sig.amplitudes), where
+    assert all(type(z) is bool for z in sig.zero_flags), where
+    assert sig == SignalVector(sig.amplitudes, sig.zero_flags, sig.threshold), where
 
 
-@pytest.mark.parametrize("snr_mode", [False, True])
 @pytest.mark.parametrize("n", range(1, 11))
-def test_pair_readout_passes_public_constructor(n, snr_mode):
-    _assert_readouts_pass_public_constructor(pair_sequence, n, snr_mode)
-
-
-@pytest.mark.parametrize("snr_mode", [False, True])
-@pytest.mark.parametrize("n", range(1, 7))
-def test_dense_readout_passes_public_constructor(n, snr_mode):
-    _assert_readouts_pass_public_constructor(run_sequence, n, snr_mode)
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_equals_integer_reference_exactly(n):
+def test_engines_agree_on_every_readout(n):
+    """Every function and shift for n <= 3, seeded ones above: one dense run
+    per case, read in both SNR modes at the default floor and at half a unit
+    given as a numpy float, against the pair engine and the integer reference."""
     for system, f, spec in _cases(n):
-        fast = pair_sequence(system, f, spec)
         where = f"n={n} marks={np.flatnonzero(f.marks).tolist()} shift={spec}"
-        assert fast.amplitudes == tuple(float(a) for a in brute_shifted_signal(f, spec)), where
-        assert fast.zero_flags == run_sequence(system, f, spec).zero_flags, where
+        exact = brute_shifted_signal(f, spec)
+        if spec is None:
+            # so both readouts below equal the spin sums too
+            assert exact == brute_spin_sums(f), where
+        state = evolved_purged_state(system, f, spec)
+        for snr_mode in (False, True):
+            unit = 2.0 / system.dim if snr_mode else 1.0
+            want = tuple(a * unit for a in exact)
+            for threshold in (DEFAULT_THRESHOLD, np.float64(0.5 * unit)):
+                fast = pair_sequence(system, f, spec, threshold, snr_mode)
+                dense = read_signal(state, system, threshold, snr_mode)
+                at = f"{where} snr_mode={snr_mode} threshold={threshold!r}"
+                assert fast.amplitudes == want, at
+                # and so within TOL of the pair readout
+                assert np.abs(np.subtract(dense.amplitudes, want)).max() < TOL, at
+                assert fast.zero_flags == dense.zero_flags, at
+                # exact multiples of the unit, so no amplitude sits strictly
+                # between a flagged zero and one unit for any threshold in (0, unit)
+                assert all(a == round(a / unit) * unit for a in fast.amplitudes), at
+                _assert_built_like_public_constructor(fast, at)
+                _assert_built_like_public_constructor(dense, at)
 
 
 def _large_cases(n):

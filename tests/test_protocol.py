@@ -174,3 +174,14 @@ class TestProjectedCallCounts:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             projected_call_counts(0)
+
+    @pytest.mark.parametrize("n", [True, False, np.True_, 2.5, 3.0, "3", None])
+    def test_rejects_non_integer_count(self, n):
+        # uncapped, but a bool or a float is no spin count, though True == 1
+        with pytest.raises(ValueError, match=r"^spin count must be an integer, got "):
+            projected_call_counts(n)
+
+    def test_numpy_integer_count_gives_python_ints(self):
+        counts = projected_call_counts(np.int64(30))
+        assert counts == {"uo": 30, "uf": 60}
+        assert all(type(c) is int for c in counts.values())
