@@ -31,7 +31,7 @@ from spinparity import (
 )
 from spinparity.spinops import STRUCT_TOL
 
-from helpers import copy_state, random_deviation_state, random_function
+from helpers import copy_state, engine_cases, random_deviation_state, random_function
 
 
 def dense_pulse_matrix(n, axis, angle):
@@ -94,33 +94,36 @@ class TestApplyPulse:
 
     # the pulse rotates about y, the one axis the sequence uses; the
     # references below are built for any axis from the spin operators
-    def test_matches_dense_exponential(self):
+    @pytest.mark.parametrize("axis", ["y"])
+    def test_matches_dense_exponential(self, axis):
         rng = np.random.default_rng(53)
         for n in (1, 2, 3):
             state = random_deviation_state(n, rng)
             angle = float(rng.uniform(-np.pi, np.pi))
             fast = apply_pulse(copy_state(state), angle).rho
-            r = dense_pulse_matrix(n, "y", angle)
+            r = dense_pulse_matrix(n, axis, angle)
             assert np.abs(fast - r @ state.rho @ r.conj().T).max() < 1e-11
 
+    @pytest.mark.parametrize("axis", ["y"])
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_matches_dense_exponential_for_every_factor_split(self, n):
+    def test_matches_dense_exponential_for_every_factor_split(self, axis, n):
         # n = 1..7 puts 0..3 spins in the high factor and 1..4 in the low
         rng = np.random.default_rng(100 + n)
         state = random_deviation_state(n, rng)
         angle = float(rng.uniform(-np.pi, np.pi))
         fast = apply_pulse(copy_state(state), angle).rho
-        r = dense_pulse_matrix(n, "y", angle)
+        r = dense_pulse_matrix(n, axis, angle)
         assert np.abs(fast - r @ state.rho @ r.conj().T).max() < 1e-11
 
+    @pytest.mark.parametrize("axis", ["y"])
     @pytest.mark.parametrize("n", [8, 9])
-    def test_matches_spinwise_rotation_past_expm_range(self, n):
+    def test_matches_spinwise_rotation_past_expm_range(self, axis, n):
         # n = 9 is the first split past n = 7 with unequal factors (16 x 32)
         rng = np.random.default_rng(200 + n)
         state = random_deviation_state(n, rng)
         angle = float(rng.uniform(-np.pi, np.pi))
         fast = apply_pulse(copy_state(state), angle).rho
-        assert np.abs(fast - spinwise_pulse(state.rho, n, "y", angle)).max() < 1e-11
+        assert np.abs(fast - spinwise_pulse(state.rho, n, axis, angle)).max() < 1e-11
 
     def test_pipeline_output_hermitian_traceless_at_n10(self):
         rng = np.random.default_rng(55)
@@ -394,6 +397,16 @@ class TestRunSequence:
         sig = run_sequence(SpinSystem(2), PhaseFunction.single(2, 0), shift=ShiftSpec(1, +1))
         assert sig.amplitudes == pytest.approx((0.0, 0.0), abs=1e-10)
 
+    def test_base_amplitudes_equal_spin_sums_exhaustive(self):
+        # the dense runs of the shared engine-agreement pass, read as
+        # run_sequence reads them by default
+        for n in (1, 2, 3):
+            for case in engine_cases(n):
+                if case.spec is None:
+                    sig = case.readouts[0].dense
+                    want = brute_spin_sums(case.f)
+                    assert sig.amplitudes == pytest.approx(want, abs=1e-9), case.where()
+
     def test_base_amplitudes_equal_spin_sums_random(self):
         rng = np.random.default_rng(71)
         for n in (4, 5, 6):
@@ -411,6 +424,15 @@ class TestRunSequence:
             spec = ShiftSpec(int(rng.integers(1, (1 << (n - 1)) + 1)), int(rng.choice([-1, 1])))
             sig = run_sequence(SpinSystem(n), f, shift=spec)
             assert sig.amplitudes == pytest.approx(brute_shifted_signal(f, spec), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shifted_amplitudes_exhaustive_small_registers(self, n):
+        for case in engine_cases(n):
+            if case.spec is not None:
+                sig = case.readouts[0].dense
+                assert sig.amplitudes == pytest.approx(
+                    brute_shifted_signal(case.f, case.spec), abs=1e-9
+                ), case.where()
 
     def test_shifted_amplitudes_equal_offset_difference_without_collisions(self):
         # When no mark faces a shift member across any spin's index pairs the

@@ -13,17 +13,14 @@ from spinparity import (
     SpinSystem,
     brute_parity,
     brute_shifted_signal,
-    brute_spin_sums,
-    evolved_purged_state,
-    read_signal,
     run_sequence,
     solve_parity,
 )
 from spinparity import ensemble
-from spinparity.ensemble import DEFAULT_THRESHOLD, pair_sequence
+from spinparity.ensemble import pair_sequence
 from spinparity.spinops import op_counts, reset_op_counts
 
-from helpers import function_from_mask
+from helpers import engine_cases
 
 TOL = 1e-12
 
@@ -39,32 +36,41 @@ def _assert_engines_agree(system, f, spec, **kw):
     assert fast.zero_flags == dense.zero_flags, where
 
 
-def _exhaustive(n):
-    """Every function and every shift of an n-spin register."""
-    half = 1 << (n - 1)
-    specs = [None] + [ShiftSpec(m, s) for m in range(1, half + 1) for s in (+1, -1)]
-    system = SpinSystem(n)
-    for mask in range(1 << (1 << n)):
-        f = function_from_mask(n, mask)
-        for spec in specs:
-            yield system, f, spec
+def _readouts(n, snr_mode=None):
+    """Each readout of the shared pass over n spins (of one SNR mode if
+    given), with its case and a label for failures."""
+    for case in engine_cases(n):
+        for r in case.readouts:
+            if snr_mode is None or r.snr_mode == snr_mode:
+                yield case, r, case.where(r)
 
 
-def _seeded(n):
-    """Seeded random functions, shifts and polarizations of an n-spin register."""
-    rng = np.random.default_rng(400 + n)
-    half = 1 << (n - 1)
-    for i in range(6 if n < 10 else 3):
-        system = SpinSystem(n, epsilon=tuple(rng.uniform(0.5, 2.0, n)))
-        f = PhaseFunction(n, rng.random(1 << n) < rng.uniform(0.05, 0.95))
-        spec = None
-        if i % 3:
-            spec = ShiftSpec(int(rng.integers(1, half + 1)), int(rng.choice((1, -1))))
-        yield system, f, spec
+def _assert_readouts_agree(n):
+    for case, r, at in _readouts(n):
+        assert np.abs(np.subtract(r.pair.amplitudes, r.dense.amplitudes)).max() < TOL, at
+        want = np.multiply(case.exact, r.unit)
+        assert np.abs(np.subtract(r.pair.amplitudes, want)).max() < TOL, at
+        assert r.pair.zero_flags == r.dense.zero_flags, at
 
 
-def _cases(n):
-    return _exhaustive(n) if n <= 3 else _seeded(n)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exhaustive_small_registers(n):
+    _assert_readouts_agree(n)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_random_functions_shifts_and_polarizations(n):
+    _assert_readouts_agree(n)
+
+
+@pytest.mark.parametrize("snr_mode", [False, True])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_amplitudes_are_whole_units(n, snr_mode):
+    # exact integer multiples of the unit, so no amplitude sits strictly
+    # between a flagged zero and one unit for any threshold in (0, unit)
+    for _, r, at in _readouts(n, snr_mode):
+        for a in r.pair.amplitudes:
+            assert a == round(a / r.unit) * r.unit, at
 
 
 def _assert_built_like_public_constructor(sig, where):
@@ -75,34 +81,25 @@ def _assert_built_like_public_constructor(sig, where):
     assert sig == SignalVector(sig.amplitudes, sig.zero_flags, sig.threshold), where
 
 
+@pytest.mark.parametrize("snr_mode", [False, True])
 @pytest.mark.parametrize("n", range(1, 11))
-def test_engines_agree_on_every_readout(n):
-    """Every function and shift for n <= 3, seeded ones above: one dense run
-    per case, read in both SNR modes at the default floor and at half a unit
-    given as a numpy float, against the pair engine and the integer reference."""
-    for system, f, spec in _cases(n):
-        where = f"n={n} marks={np.flatnonzero(f.marks).tolist()} shift={spec}"
-        exact = brute_shifted_signal(f, spec)
-        if spec is None:
-            # so both readouts below equal the spin sums too
-            assert exact == brute_spin_sums(f), where
-        state = evolved_purged_state(system, f, spec)
-        for snr_mode in (False, True):
-            unit = 2.0 / system.dim if snr_mode else 1.0
-            want = tuple(a * unit for a in exact)
-            for threshold in (DEFAULT_THRESHOLD, np.float64(0.5 * unit)):
-                fast = pair_sequence(system, f, spec, threshold, snr_mode)
-                dense = read_signal(state, system, threshold, snr_mode)
-                at = f"{where} snr_mode={snr_mode} threshold={threshold!r}"
-                assert fast.amplitudes == want, at
-                # and so within TOL of the pair readout
-                assert np.abs(np.subtract(dense.amplitudes, want)).max() < TOL, at
-                assert fast.zero_flags == dense.zero_flags, at
-                # exact multiples of the unit, so no amplitude sits strictly
-                # between a flagged zero and one unit for any threshold in (0, unit)
-                assert all(a == round(a / unit) * unit for a in fast.amplitudes), at
-                _assert_built_like_public_constructor(fast, at)
-                _assert_built_like_public_constructor(dense, at)
+def test_pair_readout_passes_public_constructor(n, snr_mode):
+    for _, r, at in _readouts(n, snr_mode):
+        _assert_built_like_public_constructor(r.pair, at)
+
+
+@pytest.mark.parametrize("snr_mode", [False, True])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_dense_readout_passes_public_constructor(n, snr_mode):
+    for _, r, at in _readouts(n, snr_mode):
+        _assert_built_like_public_constructor(r.dense, at)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_equals_integer_reference_exactly(n):
+    for case, r, at in _readouts(n):
+        assert r.pair.amplitudes == tuple(a * r.unit for a in case.exact), at
+        assert r.pair.zero_flags == r.dense.zero_flags, at
 
 
 def _large_cases(n):
