@@ -35,7 +35,6 @@ from .reference import (
 from .spinops import (
     DeviationState,
     DiagonalUnitary,
-    Operator,
     SpinSystem,
     bit_sign_table,
     conjugate,

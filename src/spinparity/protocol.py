@@ -2,17 +2,25 @@
 bisection over offset sizes that pins down the parity in at most n runs.
 
 The base run reads the per-spin mark sums.  If any spin reads zero the mark
-count is even and the answer is immediate.  Otherwise the spin-1 amplitude,
-viewed as a function of the offset size M, starts at the spin-1 mark sum,
-moves by exactly +/-1 per unit of M, and reaches a non-positive (branch-wise)
-value at M = N/2, so a zero crossing exists and ordinary interval bisection
-lands on one; its parity equals the parity of the mark count.  A bracket of
-width one whose left edge is still nonzero forces the zero at its right edge
-without spending another run, which is what keeps the total at n.  Every
-probe checks that walk: in units, the spin-1 amplitude at offset M is
-congruent to the base amplitude plus M mod 2, because each index pair adds
-``sin(pi/2 * dq)``, which is ``dq`` mod 2, and the shift takes M from spin
-1's exponent sum.
+count is even and the answer is immediate.  Otherwise the search takes the
+branch sign of the spin-1 mark sum S_1, and in units the spin-1 amplitude at
+offset size M is
+
+    sign * a_1(M) = sign * S_1 - M + 2 C(M),
+
+where C(M) counts the spin-1 index pairs (r, r + N/2) with r < M whose
+shifted member (r for sign +1, r + N/2 for sign -1) is unmarked and whose
+other member is marked.  So each unit of M moves the amplitude by exactly
++/-1, though not always downward, and at M = N/2 it equals the number of
+spin-1 pairs holding one mark minus N/2, which is <= 0.  Each probe keeps
+sign * a(lo) > 0 >= sign * a(hi), and a +/-1 walk cannot pass from positive
+to non-positive without hitting 0, so bisection lands on a zero; its parity
+equals the parity of the mark count.  A bracket of width one whose left edge
+is still nonzero forces the zero at its right edge without spending another
+run, which is what keeps the total at n.  Every probe checks that walk: in
+units, the spin-1 amplitude at offset M is congruent to the base amplitude
+plus M mod 2, because each index pair adds ``sin(pi/2 * dq)``, which is
+``dq`` mod 2, and the shift takes M from spin 1's exponent sum.
 
 Every run goes through the exact integer pair engine
 ``ensemble.pair_sequence``, whose amplitudes are whole units, so every

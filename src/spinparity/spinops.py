@@ -3,9 +3,10 @@
 Everything here works on a register of ``n`` work spins with dimension
 ``N = 2**n``.  Spin 1 owns the most significant bit of a basis index, so
 basis state ``s`` assigns spin ``k`` the bit ``(s >> (n - k)) & 1``, with
-bit 0 corresponding to magnetic quantum number +1/2.  All operators are
-plain complex matrices; diagonal unitaries are stored as phase vectors so
-that conjugation stays O(N^2).  A quarter-turn diagonal unitary acts on a
+bit 0 corresponding to magnetic quantum number +1/2.  States are plain
+complex matrices; the only unitaries conjugated here are diagonal, stored as
+phase vectors so that conjugation stays O(N^2) (the hard pulse has its own
+path, ``ensemble.apply_pulse``).  A quarter-turn diagonal unitary acts on a
 state vector held as its quarter-turn exponents mod 4, in two bit planes, by
 a bitwise mod-4 add, O(N/64) machine words.  The single-spin operators,
 basis projectors and scalar coherence order that tests build their targets
@@ -27,8 +28,9 @@ STRUCT_TOL = 1e-12
 # matrix.  A hard error beats silent truncation.
 DEFAULT_QUBIT_CAP = 12
 
-# Instrumentation, read by the benchmark to confirm the elementwise paths are
-# what actually runs.  Diagnostic only; not part of any numeric result.
+# Instrumentation, read by the benchmark to count the elementwise diagonal
+# steps.  No dense conjugation path exists, so "dense" stays 0; the benchmark
+# still reads both keys.  Diagnostic only; not part of any numeric result.
 _OP_COUNTS = {"diagonal": 0, "dense": 0}
 
 
@@ -94,26 +96,6 @@ class SpinSystem:
 
 
 @dataclass(frozen=True)
-class Operator:
-    """Square complex matrix on the register."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator must be square, got shape {m.shape}")
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def is_hermitian(self, tol: float = STRUCT_TOL) -> bool:
-        return bool(np.abs(self.entries - self.entries.conj().T).max() <= tol)
-
-
-@dataclass(frozen=True)
 class DiagonalUnitary:
     """Diagonal unitary stored as its length-N vector of unit phases."""
 
@@ -134,9 +116,6 @@ class DiagonalUnitary:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return DiagonalUnitary(self.phases * other.phases)
-
-    def adjoint(self) -> "DiagonalUnitary":
-        return DiagonalUnitary(self.phases.conj())
 
 
 @dataclass(frozen=True)
@@ -197,30 +176,24 @@ def bit_sign_table(n: int) -> np.ndarray:
     return v
 
 
-def conjugate(u, state: DeviationState) -> DeviationState:
-    """Unitary conjugation ``rho -> u rho u^dagger``, in place on the state's
-    array; returns the same state.
+def conjugate(u: DiagonalUnitary, state: DeviationState) -> DeviationState:
+    """Diagonal unitary conjugation ``rho -> u rho u^dagger``, in place on the
+    state's array; returns the same state.
 
-    Diagonal unitaries take the elementwise path
-    ``rho[r, c] *= phases[r] * conj(phases[c])`` (O(N^2), no N x N
-    temporary); dense matrix products are reserved for general ``Operator``
-    inputs, whose result is validated before it is written back.
+    The elementwise path ``rho[r, c] *= phases[r] * conj(phases[c])`` is
+    O(N^2) with no N x N temporary; ``TypeError`` for anything but a
+    ``DiagonalUnitary``.
     """
-    if not isinstance(u, (DiagonalUnitary, Operator)):
+    if not isinstance(u, DiagonalUnitary):
         raise TypeError(f"cannot conjugate by {type(u).__name__}")
     if u.dim != state.dim:
         raise ValueError(f"dimension mismatch: {u.dim} vs {state.dim}")
     rho = state.rho
-    if isinstance(u, DiagonalUnitary):
-        _OP_COUNTS["diagonal"] += 1
-        p = u.phases
-        # elementwise scaling preserves hermiticity and trace exactly
-        rho *= p.conj()[None, :]
-        rho *= p[:, None]
-        return state
-    _OP_COUNTS["dense"] += 1
-    m = u.entries
-    rho[...] = DeviationState(m @ rho @ m.conj().T).rho
+    _OP_COUNTS["diagonal"] += 1
+    p = u.phases
+    # elementwise scaling preserves hermiticity and trace exactly
+    rho *= p.conj()[None, :]
+    rho *= p[:, None]
     return state
 
 

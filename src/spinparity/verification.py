@@ -18,7 +18,7 @@ import numpy as np
 
 from .ensemble import initial_state
 from .oracles import PhaseFunction, ShiftSpec
-from .spinops import DeviationState, DiagonalUnitary, Operator, SpinSystem, bit_sign_table
+from .spinops import DeviationState, DiagonalUnitary, SpinSystem, bit_sign_table
 
 _HALF_SIGMA = {
     "x": 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -27,12 +27,12 @@ _HALF_SIGMA = {
 }
 
 
-def spin_operator(n: int, k: int, axis: str) -> Operator:
+def spin_operator(n: int, k: int, axis: str) -> np.ndarray:
     """Single-spin angular momentum component embedded in the register.
 
-    Returns ``E (x) ... (x) sigma_axis/2 (x) ... (x) E`` with the nontrivial
-    factor at slot ``k`` (slot 1 leftmost / most significant).  Hermitian
-    with eigenvalues +/-1/2.
+    Returns ``E (x) ... (x) sigma_axis/2 (x) ... (x) E`` as a complex N x N
+    array, with the nontrivial factor at slot ``k`` (slot 1 leftmost / most
+    significant).  Hermitian with eigenvalues +/-1/2.
     """
     if not 1 <= k <= n:
         raise IndexError(f"spin index {k} outside 1..{n}")
@@ -41,20 +41,20 @@ def spin_operator(n: int, k: int, axis: str) -> Operator:
     m = np.array([[1.0 + 0.0j]])
     for j in range(1, n + 1):
         m = np.kron(m, _HALF_SIGMA[axis] if j == k else np.eye(2, dtype=complex))
-    return Operator(m)
+    return m
 
 
-def basis_projector(n: int, s: int) -> Operator:
+def basis_projector(n: int, s: int) -> np.ndarray:
     """Diagonal projector onto computational basis index ``s``."""
     N = 1 << n
     if not 0 <= s < N:
         raise IndexError(f"basis index {s} outside 0..{N - 1}")
     d = np.zeros(N, dtype=complex)
     d[s] = 1.0
-    return Operator(np.diag(d))
+    return np.diag(d)
 
 
-def basis_projector_product(n: int, s: int) -> Operator:
+def basis_projector_product(n: int, s: int) -> np.ndarray:
     """Same projector assembled as the tensor product of per-spin factors
     ``(E/2 + a_k I_kz)``, with ``a_k`` read from the bit-sign table."""
     N = 1 << n
@@ -63,7 +63,7 @@ def basis_projector_product(n: int, s: int) -> Operator:
     diag = np.array([1.0 + 0.0j])
     for a in bit_sign_table(n)[:, s]:
         diag = np.kron(diag, np.array([0.5 + 0.5 * a, 0.5 - 0.5 * a], dtype=complex))
-    return Operator(np.diag(diag))
+    return np.diag(diag)
 
 
 def coherence_order(r: int, c: int) -> int:

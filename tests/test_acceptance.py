@@ -46,7 +46,7 @@ def _verdict(num: int, label: str, ok: bool, detail: str = ""):
 def _longitudinal_target(system, per_spin):
     n, N = system.n, system.dim
     return (2.0 / N) * sum(
-        system.epsilon[k - 1] * per_spin[k - 1] * spin_operator(n, k, "z").entries
+        system.epsilon[k - 1] * per_spin[k - 1] * spin_operator(n, k, "z")
         for k in range(1, n + 1)
     )
 

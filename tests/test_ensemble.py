@@ -35,13 +35,13 @@ from helpers import copy_state, engine_cases, random_deviation_state, random_fun
 
 
 def dense_pulse_matrix(n, axis, angle):
-    gen = sum(spin_operator(n, k, axis).entries for k in range(1, n + 1))
+    gen = sum(spin_operator(n, k, axis) for k in range(1, n + 1))
     return expm(-1j * angle * gen)
 
 
 def spinwise_pulse(rho, n, axis, angle):
     """Conjugate by the pulse one spin at a time with its 2 x 2 rotation."""
-    r = expm(-1j * angle * spin_operator(1, 1, axis).entries)
+    r = expm(-1j * angle * spin_operator(1, 1, axis))
     N = 1 << n
     for k in range(n):
         hi, lo = 1 << k, 1 << (n - 1 - k)
@@ -53,7 +53,7 @@ def spinwise_pulse(rho, n, axis, angle):
 class TestInitialState:
     def test_single_spin_is_transverse_y(self):
         rho = initial_state(SpinSystem(1)).rho
-        assert np.allclose(rho, spin_operator(1, 1, "y").entries)
+        assert np.allclose(rho, spin_operator(1, 1, "y"))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_traceless(self, n):
@@ -67,7 +67,7 @@ class TestInitialState:
     def test_matches_operator_sum(self, n):
         eps = tuple(0.5 + 0.25 * k for k in range(n))
         system = SpinSystem(n, epsilon=eps)
-        expected = sum(eps[k - 1] * spin_operator(n, k, "y").entries for k in range(1, n + 1))
+        expected = sum(eps[k - 1] * spin_operator(n, k, "y") for k in range(1, n + 1))
         assert np.abs(initial_state(system).rho - expected).max() < STRUCT_TOL
 
 
@@ -88,9 +88,9 @@ class TestApplyPulse:
 
     def test_quarter_turn_convention(self):
         # the 90-degree y pulse carries x magnetization onto -z
-        state = DeviationState(spin_operator(1, 1, "x").entries)
+        state = DeviationState(spin_operator(1, 1, "x"))
         out = apply_pulse(state, np.pi / 2)
-        assert np.abs(out.rho + spin_operator(1, 1, "z").entries).max() < 1e-12
+        assert np.abs(out.rho + spin_operator(1, 1, "z")).max() < 1e-12
 
     # the pulse rotates about y, the one axis the sequence uses; the
     # references below are built for any axis from the spin operators
@@ -165,7 +165,7 @@ class TestPurgeFilters:
         assert np.array_equal(gradient_filter(state).rho, d)
 
     def test_gradient_kills_single_quantum(self):
-        state = DeviationState(spin_operator(1, 1, "x").entries)
+        state = DeviationState(spin_operator(1, 1, "x"))
         assert np.abs(gradient_filter(state).rho).max() == 0.0
 
     def test_gradient_order_selection_n2(self):
@@ -234,14 +234,14 @@ class TestReadSignal:
         system = SpinSystem(n, epsilon=eps)
         target = (3, -1)
         rho = (2.0 / N) * sum(
-            eps[k - 1] * target[k - 1] * spin_operator(n, k, "z").entries for k in (1, 2)
+            eps[k - 1] * target[k - 1] * spin_operator(n, k, "z") for k in (1, 2)
         )
         sig = read_signal(DeviationState(rho), system)
         assert sig.amplitudes == pytest.approx(target, abs=1e-12)
         assert sig.zero_flags == (False, False)
 
     def test_rejects_unpurged_state(self):
-        state = DeviationState(spin_operator(2, 1, "x").entries)
+        state = DeviationState(spin_operator(2, 1, "x"))
         with pytest.raises(ValueError):
             read_signal(state, SpinSystem(2))
 
@@ -257,7 +257,7 @@ class TestReadSignal:
     def test_snr_mode_scales_by_two_over_dim(self):
         n, N = 3, 8
         system = SpinSystem(n)
-        rho = (2.0 / N) * 4 * spin_operator(n, 1, "z").entries
+        rho = (2.0 / N) * 4 * spin_operator(n, 1, "z")
         raw = read_signal(DeviationState(rho), system)
         snr = read_signal(DeviationState(rho), system, threshold=1e-3, snr_mode=True)
         assert raw.amplitudes[0] == pytest.approx(4.0, abs=1e-12)

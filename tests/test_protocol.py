@@ -6,15 +6,18 @@ from spinparity import (
     RunTrace,
     SignalError,
     SignalVector,
+    ShiftSpec,
     SpinSystem,
     brute_parity,
+    brute_spin_sums,
     mark_count,
     projected_call_counts,
     solve_parity,
 )
 from spinparity import protocol
+from spinparity.ensemble import pair_sequence
 
-from helpers import function_from_mask, random_function
+from helpers import _exhaustive, function_from_mask, random_function
 
 
 class TestDegenerateFunctions:
@@ -82,6 +85,46 @@ class TestCorrectness:
         f = PhaseFunction.random(5, 0.5, 999)
         system = SpinSystem(5)
         assert solve_parity(system, f) == solve_parity(system, f)
+
+
+def _walk_cases():
+    """Every function and shift for n <= 3; seeded functions at n = 4..8
+    with every offset and both branch signs."""
+    for n in (1, 2, 3):
+        for system, f, spec in _exhaustive(n):
+            if spec is not None:
+                yield system, f, spec
+    for n in range(4, 9):
+        rng = np.random.default_rng(700 + n)
+        system = SpinSystem(n)
+        for _ in range(4):
+            f = random_function(n, rng)
+            for m in range(1, system.dim // 2 + 1):
+                for sign in (+1, -1):
+                    yield system, f, ShiftSpec(m, sign)
+
+
+def test_spin_one_walk_closed_form():
+    # sign * a_1(m) = sign * S_1 - m + 2 C(m), where C(m) counts the spin-1
+    # pairs (r, r + N/2), r < m, whose shifted member (r for sign +1,
+    # r + N/2 for sign -1) is unmarked and whose other member is marked
+    checked = 0
+    for system, f, spec in _walk_cases():
+        half = system.dim // 2
+        g, m, sign = f.marks, spec.m, spec.sign
+        if sign > 0:
+            c = sum(1 for r in range(m) if not g[r] and g[r + half])
+        else:
+            c = sum(1 for r in range(m) if g[r] and not g[r + half])
+        a1 = pair_sequence(system, f, spec).amplitudes[0]
+        want = sign * brute_spin_sums(f)[0] - m + 2 * c
+        at = f"n={f.n} marks={np.flatnonzero(g).tolist()} shift={spec}"
+        assert sign * a1 == want, at
+        if m == half:
+            # the crossing guarantee: spin-1 pairs with one mark, minus N/2
+            assert want <= 0, at
+        checked += 1
+    assert checked == 2120 + 4 * sum(1 << n for n in range(4, 9))
 
 
 class TestTraceInvariants:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from spinparity import (
     DeviationState,
     DiagonalUnitary,
-    Operator,
     SpinSystem,
     basis_projector,
     basis_projector_product,
@@ -46,16 +45,16 @@ class TestSpinSystem:
 
 class TestSpinOperator:
     def test_single_spin_z(self):
-        m = spin_operator(1, 1, "z").entries
+        m = spin_operator(1, 1, "z")
         assert np.allclose(m, np.diag([0.5, -0.5]))
 
     def test_tensor_placement_second_spin(self):
-        m = spin_operator(2, 2, "z").entries
+        m = spin_operator(2, 2, "z")
         assert np.allclose(m, np.diag([0.5, -0.5, 0.5, -0.5]))
 
     def test_first_spin_x_explicit_entries(self):
         # hand-expanded 4x4 Kronecker product: sigma_x/2 on the leading slot
-        m = spin_operator(2, 1, "x").entries
+        m = spin_operator(2, 1, "x")
         expected = np.zeros((4, 4), dtype=complex)
         for r, c in [(0, 2), (2, 0), (1, 3), (3, 1)]:
             expected[r, c] = 0.5
@@ -65,9 +64,9 @@ class TestSpinOperator:
     def test_hermitian_with_half_eigenvalues(self, axis):
         for n in (1, 2, 3):
             for k in range(1, n + 1):
-                op = spin_operator(n, k, axis)
-                assert op.is_hermitian()
-                eig = np.sort(np.linalg.eigvalsh(op.entries))
+                m = spin_operator(n, k, axis)
+                assert np.abs(m - m.conj().T).max() <= STRUCT_TOL
+                eig = np.sort(np.linalg.eigvalsh(m))
                 assert np.allclose(np.abs(eig), 0.5)
 
     def test_out_of_range_spin(self):
@@ -83,7 +82,7 @@ class TestSpinOperator:
     def test_longitudinal_trace_identity(self):
         # Tr(I_kz I_jz) = delta_kj * 2^(n-2)
         for n in range(2, 9):
-            ops = [spin_operator(n, k, "z").entries for k in range(1, n + 1)]
+            ops = [spin_operator(n, k, "z") for k in range(1, n + 1)]
             for k in range(n):
                 for j in range(n):
                     tr = np.trace(ops[k] @ ops[j]).real
@@ -120,32 +119,32 @@ class TestBitSignTable:
 
 class TestBasisProjector:
     def test_direct_n1(self):
-        assert np.allclose(basis_projector(1, 0).entries, np.diag([1.0, 0.0]))
+        assert np.allclose(basis_projector(1, 0), np.diag([1.0, 0.0]))
 
     def test_direct_n2(self):
-        assert np.allclose(basis_projector(2, 3).entries, np.diag([0, 0, 0, 1.0]))
+        assert np.allclose(basis_projector(2, 3), np.diag([0, 0, 0, 1.0]))
 
     def test_product_form_n2_s1(self):
         # (E/2 + I_1z) (x) (E/2 - I_2z) expands to diag(0, 1, 0, 0)
-        assert np.allclose(basis_projector_product(2, 1).entries, np.diag([0, 1.0, 0, 0]))
+        assert np.allclose(basis_projector_product(2, 1), np.diag([0, 1.0, 0, 0]))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_forms_agree(self, n):
         for s in range(1 << n):
-            a = basis_projector(n, s).entries
-            b = basis_projector_product(n, s).entries
+            a = basis_projector(n, s)
+            b = basis_projector_product(n, s)
             assert np.abs(a - b).max() < STRUCT_TOL
 
     def test_idempotent_unit_trace(self):
         for n in (1, 2, 3, 4):
             for s in range(1 << n):
-                p = basis_projector(n, s).entries
+                p = basis_projector(n, s)
                 assert np.abs(p @ p - p).max() < STRUCT_TOL
                 assert abs(p.trace() - 1.0) < STRUCT_TOL
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_completeness(self, n):
-        total = sum(basis_projector(n, s).entries for s in range(1 << n))
+        total = sum(basis_projector(n, s) for s in range(1 << n))
         assert np.abs(total - np.eye(1 << n)).max() < STRUCT_TOL
 
     def test_out_of_range(self):
@@ -186,7 +185,7 @@ class TestConjugate:
 
     def test_elementwise_phase_rule(self):
         # a pi shift on index 0 negates the single-spin x component
-        ix = DeviationState(spin_operator(1, 1, "x").entries)
+        ix = DeviationState(spin_operator(1, 1, "x"))
         u = DiagonalUnitary(np.array([np.exp(-1j * np.pi), 1.0]))
         out = conjugate(u, copy_state(ix))
         assert np.abs(out.rho + ix.rho).max() < STRUCT_TOL
@@ -197,11 +196,9 @@ class TestConjugate:
         for n in (1, 2, 3):
             state = random_deviation_state(n, rng)
             u = DiagonalUnitary(np.exp(-1j * rng.uniform(0, 2 * np.pi, 1 << n)))
-            out = conjugate(u, state)  # DeviationState construction re-validates
+            out = conjugate(u, state)
             assert abs(out.rho.trace()) < STRUCT_TOL
-            q, _ = np.linalg.qr(rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n)))
-            dense = conjugate(Operator(q), state)
-            assert abs(dense.rho.trace()) < 1e-10
+            assert np.abs(out.rho - out.rho.conj().T).max() < STRUCT_TOL
 
     def test_roundtrip_is_identity(self):
         rng = np.random.default_rng(13)
@@ -209,7 +206,7 @@ class TestConjugate:
         u = DiagonalUnitary(np.exp(-1j * rng.uniform(0, 2 * np.pi, 8)))
         there = conjugate(u, copy_state(state))
         assert np.abs(there.rho - state.rho).max() > 0.1
-        back = conjugate(u.adjoint(), copy_state(there))
+        back = conjugate(DiagonalUnitary(u.phases.conj()), copy_state(there))
         assert np.abs(back.rho - state.rho).max() < STRUCT_TOL
 
     def test_dimension_mismatch(self):
@@ -217,8 +214,6 @@ class TestConjugate:
         state = random_deviation_state(2, rng)
         with pytest.raises(ValueError):
             conjugate(DiagonalUnitary(np.ones(8)), state)
-        with pytest.raises(ValueError):
-            conjugate(Operator(np.eye(8)), state)
 
     def test_rejects_unknown_operand(self):
         rng = np.random.default_rng(15)
@@ -228,10 +223,10 @@ class TestConjugate:
 
 @st.composite
 def _diagonal_ops(draw):
-    """A register size and a list of (0/1 bitset, sign) quarter-turn ops."""
+    """A register size and a list of (N-bit bitset, sign) quarter-turn ops."""
     N = 1 << draw(st.integers(1, 8))
-    bits = st.lists(st.booleans(), min_size=N, max_size=N)
-    ops = draw(st.lists(st.tuples(bits, st.sampled_from((1, -1))), max_size=12))
+    bitsets = st.integers(0, (1 << N) - 1)
+    ops = draw(st.lists(st.tuples(bitsets, st.sampled_from((1, -1))), max_size=12))
     return N, ops
 
 
@@ -240,12 +235,12 @@ class TestApplyDiagonal:
     def test_matches_integer_sums_mod_4_and_counts_each_call(self, case):
         N, ops = case
         q, want = (0, 0), np.zeros(N, dtype=np.int64)
-        for bits, sign in ops:
-            e = sum(1 << x for x, b in enumerate(bits) if b)
+        for e, sign in ops:
             before = op_counts()["diagonal"]
             q = apply_diagonal(q, e, sign)
             assert op_counts()["diagonal"] == before + 1
-            want += sign * np.array(bits, dtype=np.int64)
+            # Python shifts: a numpy shift of e would overflow for N > 63
+            want += sign * np.array([(e >> x) & 1 for x in range(N)], dtype=np.int64)
         q0, q1 = q
         got = [((q0 >> x) & 1) + 2 * ((q1 >> x) & 1) for x in range(N)]
         assert got == (want % 4).tolist()
@@ -273,7 +268,3 @@ class TestTypeValidation:
     def test_deviation_state_requires_traceless(self):
         with pytest.raises(ValueError):
             DeviationState(np.eye(2))
-
-    def test_operator_requires_square(self):
-        with pytest.raises(ValueError):
-            Operator(np.ones((2, 3)))
