@@ -39,20 +39,5 @@ from .spinops import (
     bit_sign_table,
     conjugate,
 )
-from .verification import (
-    CompiledShift,
-    Factor,
-    basis_projector,
-    basis_projector_product,
-    block_phase_shift,
-    coherence_order,
-    oracle_conjugation_expansion,
-    oracle_evolution_expansion,
-    selective_conjugation_expansion,
-    selective_phase_shift,
-    shift_unitary_compiled,
-    sign_oracle,
-    spin_operator,
-)
 
 __version__ = "0.1.0"

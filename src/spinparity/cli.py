@@ -20,9 +20,9 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .ensemble import DEFAULT_THRESHOLD, run_sequence
+from .ensemble import run_sequence
 from .oracles import PhaseFunction
 from .protocol import solve_parity
 from .reference import reference_report
@@ -89,8 +89,6 @@ class ExperimentConfig:
     n: int = None
     seed: int = None
     density: float = None
-    epsilon: tuple = None
-    threshold: float = DEFAULT_THRESHOLD
     snr: bool = False
     verify: bool = False
 
@@ -102,8 +100,8 @@ class ExperimentConfig:
             )
 
 
-def resolve_function(cfg: ExperimentConfig, n: int = None) -> PhaseFunction:
-    n = cfg.n if n is None else n
+def resolve_function(cfg: ExperimentConfig) -> PhaseFunction:
+    n = cfg.n
     src = cfg.source
     if src == "const-plus" or src == "const-minus":
         _require_n(n, src)
@@ -147,8 +145,7 @@ def _round_sig(a: float) -> float:
 def run_experiment(cfg: ExperimentConfig) -> tuple:
     """Execute the parity protocol, returning (exit status, report dict)."""
     f = resolve_function(cfg)
-    system = SpinSystem(f.n, epsilon=cfg.epsilon)
-    trace = solve_parity(system, f, threshold=cfg.threshold, snr_mode=cfg.snr)
+    trace = solve_parity(SpinSystem(f.n), f, snr_mode=cfg.snr)
     report = {"n": f.n, "parity": trace.parity}
     status = 0
     if cfg.verify:
@@ -163,7 +160,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
         {
             "M": rec.m,
             "sign": rec.sign,
-            "amplitudes": [_round_sig(a) for a in rec.amplitudes],
+            "amplitudes": list(rec.amplitudes),
             "decision": rec.decision,
         }
         for rec in trace.iterations
@@ -195,20 +192,19 @@ def render_report(report: dict, fmt: str) -> str:
 
 
 def bench(cfg: ExperimentConfig, sizes) -> dict:
-    """Time one sequence run per size.  ``spinops.conjugate`` has no dense
-    branch, so every oracle and shift conjugation takes the diagonal path
-    and ``diagonal_path_only`` is always true; the key stays in the report."""
+    """Time the best of three dense sequence runs per size, on ``cfg``'s
+    function source built at each size."""
     if cfg.source.startswith("file:"):
         raise ValueError("bench requires a size-independent function source")
     seconds = []
     for n in sizes:
-        f = resolve_function(cfg, n=n)
+        f = resolve_function(replace(cfg, n=n))
         system = SpinSystem(n)
-        run_sequence(system, f, threshold=cfg.threshold)  # warm-up
+        run_sequence(system, f)  # warm-up
         best = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
-            run_sequence(system, f, threshold=cfg.threshold)
+            run_sequence(system, f)
             best = min(best, time.perf_counter() - t0)
         seconds.append(best)
     ratios = {}
@@ -219,7 +215,6 @@ def bench(cfg: ExperimentConfig, sizes) -> dict:
         "sizes": list(sizes),
         "seconds_per_run": [_round_sig(s) for s in seconds],
         "ratios": ratios,
-        "diagonal_path_only": True,
     }
 
 
@@ -239,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, help="seed for the random source (required with it)")
     p.add_argument("--density", type=float, help="mark density for the random source (default 0.5)")
-    p.add_argument("--epsilon", help="comma-separated per-spin polarization parameters")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD, help="zero-detection threshold")
     p.add_argument("--snr", action="store_true", help="report amplitudes at the 2/N physical scale")
     p.add_argument("--verify", action="store_true", help="cross-check against the brute-force reference")
     p.add_argument("--out", help="write the report to this path instead of stdout")
@@ -257,15 +250,15 @@ def _emit(text: str, out: str) -> None:
         sys.stdout.write(text)
 
 
-def _parse_list(flag: str, text: str, kind, what: str) -> list:
-    """The comma-separated items of ``flag``'s value ``text``, each read by
-    ``kind``; a bad item raises ``ValueError`` naming the flag and the item."""
+def _parse_list(flag: str, text: str) -> list:
+    """The comma-separated integers of ``flag``'s value ``text``; a bad item
+    raises ``ValueError`` naming the flag and the item."""
     items = []
     for i, item in enumerate(text.split(","), start=1):
         try:
-            items.append(kind(item))
+            items.append(int(item))
         except ValueError:
-            raise ValueError(f"{flag} item {i} must be {what}, got {item!r}") from None
+            raise ValueError(f"{flag} item {i} must be an integer, got {item!r}") from None
     return items
 
 
@@ -284,9 +277,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap
         return 0 if exc.code in (0, None) else 1
     try:
-        epsilon = None
-        if args.epsilon:
-            epsilon = tuple(_parse_list("--epsilon", args.epsilon, float, "a number"))
         if args.bench is None and not args.function:
             print("error: --function is required (or use --bench)", file=sys.stderr)
             return 1
@@ -296,19 +286,17 @@ def main(argv=None) -> int:
                 "--bench",
                 {
                     "--n": args.n is not None,
-                    "--epsilon": args.epsilon is not None,
                     "--snr": args.snr,
                     "--verify": args.verify,
                     "--format csv": args.fmt == "csv",
                 },
             )
-            sizes = _parse_list("--bench", args.bench, int, "an integer")
+            sizes = _parse_list("--bench", args.bench)
             cfg = ExperimentConfig(
                 source=source,
                 # seeded by default, but only the random source takes a seed
                 seed=0 if args.seed is None and source == "random" else args.seed,
                 density=args.density,
-                threshold=args.threshold,
             )
             report = bench(cfg, sizes)
             _emit(json.dumps(report, indent=2) + "\n", args.out)
@@ -318,8 +306,6 @@ def main(argv=None) -> int:
             n=args.n,
             seed=args.seed,
             density=args.density,
-            epsilon=epsilon,
-            threshold=args.threshold,
             snr=args.snr,
             verify=args.verify,
         )

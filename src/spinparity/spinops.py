@@ -112,11 +112,6 @@ class DiagonalUnitary:
     def dim(self) -> int:
         return self.phases.shape[0]
 
-    def compose(self, other: "DiagonalUnitary") -> "DiagonalUnitary":
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return DiagonalUnitary(self.phases * other.phases)
-
 
 @dataclass(frozen=True)
 class DeviationState:
@@ -158,7 +153,6 @@ class DeviationState:
         return self.rho.shape[0]
 
 
-@lru_cache(maxsize=None)
 def bit_sign_table(n: int) -> np.ndarray:
     """The +/-1 encoding of basis-index bits for ``n`` spins: a read-only
     ``(n, 2**n)`` integer array, one row per spin (cached).
@@ -168,8 +162,12 @@ def bit_sign_table(n: int) -> np.ndarray:
     the single-spin projector selecting that bit.  Each row is balanced:
     half the entries are +1.
     """
-    if n < 1:
-        raise ValueError("spin count must be >= 1")
+    # checked before the cache, where True and 1 would share a key
+    return _bit_sign_table(check_spin_count(n))
+
+
+@lru_cache(maxsize=None)
+def _bit_sign_table(n: int) -> np.ndarray:
     shifts = np.arange(n - 1, -1, -1)[:, None]  # n - k for k = 1..n
     v = 1 - 2 * ((np.arange(1 << n) >> shifts) & 1)
     v.setflags(write=False)

@@ -6,8 +6,8 @@ the dense single-spin algebra the tests build their targets from (spin
 operators, basis projectors, the scalar coherence order), the selective,
 sign and block phase shifts, the compiled offset-shift circuit (criterion
 5), and the closed-form conjugation and evolution expansions (criterion 4).
-The package re-exports every name, so ``from spinparity import ...``
-reaches them.
+The package does not import it, so callers import these names from
+``spinparity.verification``.
 """
 
 from __future__ import annotations

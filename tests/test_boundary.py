@@ -2,15 +2,17 @@
 
 ``spinparity.verification`` imports from the production modules and never
 the other way round, and each construction it holds is defined there alone.
+Neither the package nor its console script loads it.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import spinparity
-from spinparity import verification
 
 SRC = Path(spinparity.__file__).resolve().parent
 PRODUCTION = ("spinops", "oracles", "ensemble", "protocol", "cli", "reference")
@@ -69,6 +71,10 @@ def test_moved_names_defined_in_verification():
     assert set(MOVED) <= _defined(_tree("verification"))
 
 
-@pytest.mark.parametrize("name", [n for n in MOVED if not n.startswith("_") and n != "EXPANSION_QUBIT_CAP"])
-def test_package_reexports_moved_name(name):
-    assert getattr(spinparity, name) is getattr(verification, name)
+def test_cli_import_does_not_load_verification():
+    # a fresh interpreter, since this one has loaded it for other tests
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import spinparity.cli; "
+        "sys.exit('spinparity.verification' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", code, str(SRC.parent)]).returncode == 0

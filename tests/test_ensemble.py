@@ -14,22 +14,25 @@ from spinparity import (
     brute_shifted_signal,
     brute_shift_sums,
     brute_spin_sums,
-    coherence_order,
     conjugate,
     evolved_purged_state,
     gradient_filter,
     initial_state,
-    oracle_conjugation_expansion,
-    oracle_evolution_expansion,
     phase_oracle,
     read_signal,
     run_sequence,
-    selective_conjugation_expansion,
     shift_unitary_direct,
-    spin_operator,
     zero_quantum_filter,
 )
 from spinparity.spinops import STRUCT_TOL
+from spinparity.verification import (
+    coherence_order,
+    oracle_conjugation_expansion,
+    oracle_evolution_expansion,
+    selective_conjugation_expansion,
+    selective_phase_shift,
+    spin_operator,
+)
 
 from helpers import copy_state, engine_cases, random_deviation_state, random_function
 
@@ -312,8 +315,6 @@ class TestConjugationExpansions:
 
     def test_selective_matches_direct(self):
         rng = np.random.default_rng(62)
-        from spinparity import selective_phase_shift
-
         for _ in range(40):
             n = int(rng.integers(1, 5))
             state = random_deviation_state(n, rng)

@@ -15,15 +15,16 @@ from spinparity import (
     PhaseFunction,
     ShiftSpec,
     SpinSystem,
+    bit_sign_table,
     brute_parity,
     brute_shifted_signal,
     read_signal,
     reference_report,
-    shift_unitary_compiled,
     shift_unitary_direct,
     solve_parity,
 )
 from spinparity.ensemble import apply_pulse, pair_sequence
+from spinparity.verification import shift_unitary_compiled
 
 from helpers import random_deviation_state
 
@@ -44,11 +45,16 @@ class TestSpinCountBeforeAllocation:
         with pytest.raises(ValueError, match=rf"^spin count {n} outside 1\.\.12$"):
             self.FACTORIES[factory](n)
 
-    # the constructors and the factories read the one rule,
-    # spinops.check_spin_count
-    SIZED = {"SpinSystem": SpinSystem, "PhaseFunction": lambda n: PhaseFunction(n, []), **FACTORIES}
+    # the constructors, the factories and bit_sign_table read the one
+    # rule, spinops.check_spin_count
+    SIZED = {
+        "SpinSystem": SpinSystem,
+        "PhaseFunction": lambda n: PhaseFunction(n, []),
+        "bit_sign_table": bit_sign_table,
+        **FACTORIES,
+    }
 
-    @pytest.mark.parametrize("entry", ["SpinSystem", "PhaseFunction"])
+    @pytest.mark.parametrize("entry", ["SpinSystem", "PhaseFunction", "bit_sign_table"])
     @pytest.mark.parametrize("n", [13, 40, -1, 0])
     def test_constructors_give_the_one_message(self, entry, n):
         with pytest.raises(ValueError, match=rf"^spin count {n} outside 1\.\.12$"):

@@ -1,4 +1,4 @@
-"""Report bytes of reference CLI commands, pinned in ``tests/data/reports``.
+"""Report bytes of six reference CLI commands, pinned in ``tests/data/reports``.
 
 Each case writes its JSON and CSV reports through ``cli.main`` and compares
 them with ``<case>.json`` and ``<case>.csv`` byte for byte.  The sources are
@@ -22,9 +22,7 @@ CASES = {
     "readme-single-n3": ["--n", "3", "--function", "single:5", "--verify"],
     "readme-file-n5": ["--function", f"file:{DATA / 'table-n5.txt'}"],
     "snr-n8": ["--n", "8", "--function", "single:5", "--snr", "--verify"],
-    "epsilon-n4": ["--n", "4", "--function", "single:9", "--epsilon", "0.5,1,2,1.5", "--verify"],
     "const-minus-n5": ["--n", "5", "--function", "const-minus", "--verify"],
-    "threshold-1e-20-n6": ["--n", "6", "--function", "single:37", "--threshold", "1e-20", "--verify"],
     "single-n12": ["--n", "12", "--function", "single:2741", "--verify"],
 }
 

@@ -7,14 +7,16 @@ from spinparity import (
     DeviationState,
     DiagonalUnitary,
     SpinSystem,
-    basis_projector,
-    basis_projector_product,
     bit_sign_table,
-    coherence_order,
     conjugate,
-    spin_operator,
 )
 from spinparity.spinops import STRUCT_TOL, apply_diagonal, op_counts
+from spinparity.verification import (
+    basis_projector,
+    basis_projector_product,
+    coherence_order,
+    spin_operator,
+)
 
 from helpers import copy_state, random_deviation_state
 
