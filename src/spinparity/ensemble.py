@@ -109,41 +109,88 @@ def initial_state(system: SpinSystem) -> DeviationState:
     return DeviationState(rho, validate=False)
 
 
+# Floats per step of either pulse pass: a step takes as many whole slabs
+# (pass 1) or blocks (pass 2) as fit, and at least one, so a small register
+# takes a few BLAS calls instead of one per slab.  From n = 10 up every step
+# is one slab or block; the one buffer is 0.13 of the state at n = 9 and
+# 0.06 at n = 10.
+_PULSE_STEP_FLOATS = 1 << 14
+
+
+def _pulse_split(n: int) -> tuple:
+    """Spins per Kronecker factor of the hard pulse, highest spins first: one
+    factor up to 4 spins, else three as equal as possible, larger first (at
+    most 4 spins each up to n = 12)."""
+    if n <= 4:
+        return (n,)
+    return tuple(n // 3 + (i < n % 3) for i in range(3))
+
+
+@lru_cache(maxsize=16)
+def _pulse_factors(n: int, angle: float) -> tuple:
+    """The factors ``R^(x)k`` of the hard pulse for ``_pulse_split(n)``, with
+    ``R = [[c, -s], [s, c]]`` the real y rotation, then ``kron(F^T, I_2)`` for
+    the innermost factor ``F``: its column legs on the state's float view.
+    Read-only arrays, cached per ``(n, angle)``."""
+    c, s = np.cos(0.5 * angle), np.sin(0.5 * angle)
+    r = np.array([[c, -s], [s, c]])
+    factors = [reduce(np.kron, [r] * k, np.eye(1)) for k in _pulse_split(n)]
+    factors.append(np.kron(factors[-1].T, np.eye(2)))
+    for f in factors:
+        f.setflags(write=False)
+    return tuple(factors)
+
+
 def apply_pulse(state: DeviationState, angle: float) -> DeviationState:
     """Conjugate the state in place by the hard y pulse
     ``exp(-i * angle * sum_k I_ky)`` on every spin and return it.
 
-    The rotation ``R^(x)n`` splits as ``A (x) B``, with ``A`` on the high
-    ``n // 2`` spins and ``B`` on the rest.  Both factors are the real
-    rotation ``[[c, -s], [s, c]]`` to the Kronecker power, so three of the
-    four legs (the row legs of both factors and the column legs of ``A``)
-    run as float64 matmuls on the state's float view, with the real and
-    imaginary parts riding along as an extra column axis.  Only the column
-    legs of ``B`` contract the innermost complex axis and stay a complex
-    matmul.  The row legs of ``A`` run first, one strided slab of rows at a
-    time; the other three legs then run together on each block of
-    ``len(B)`` consecutive rows, which they alone mix.  Two buffers of one
-    block each are all the pulse allocates.
+    The rotation ``R^(x)n`` is the Kronecker product of the factors of
+    ``_pulse_split(n)``: one of up to 4 spins, or three of at most 4 spins
+    each up to n = 12, so each leg costs ``N^2`` times the factor's size
+    (cached per ``(n, angle)``).  ``R`` is real, so every leg runs as a
+    float64 matmul on the state's float view, with the real and imaginary
+    parts side by side.  Two passes do the legs:
+
+    - pass 1 takes a slab of rows ``j, j + N/d, j + 2N/d, ...`` (``d`` the
+      outer factor's size), applies the outer factor's row leg into a
+      buffer, then every column leg, the innermost one as a matmul against
+      ``kron(F^T, I_2)`` that writes the slab straight back;
+    - pass 2 takes a block of ``N/d`` consecutive rows, which the inner
+      factors' row legs alone mix, and applies them, the second writing
+      straight back.
+
+    No leg is a complex matmul and no slab or block is copied back.  One
+    buffer, the larger of two slab steps and one block step, serves both
+    passes (see ``_PULSE_STEP_FLOATS``).
     """
     if not -2.0 * np.pi < angle < 2.0 * np.pi:
         raise ValueError(f"pulse angle {angle} outside (-2pi, 2pi)")
     N = state.dim
-    n = N.bit_length() - 1
-    c, s = np.cos(0.5 * angle), np.sin(0.5 * angle)
-    r = np.array([[c, -s], [s, c]])
-    a = reduce(np.kron, [r] * (n // 2), np.eye(1))
-    b = reduce(np.kron, [r] * (n - n // 2), np.eye(1))
-    da, db = len(a), len(b)
-    g = state.rho.view(np.float64).reshape(da, db, 2 * N)  # re and im side by side
-    buf = np.empty((2, db, 2 * N))  # two blocks of db rows, reused by every leg
-    for j in range(db):  # row legs of A: rows j, j + db, j + 2 db, ...
-        np.matmul(a, g[:, j], out=buf[0, :da])
-        g[:, j] = buf[0, :da]
-    bt = b.T.astype(complex)
-    for rows in g:  # the other legs one block of db consecutive rows at a time
-        np.matmul(b, rows, out=buf[0])  # row legs of B
-        np.matmul(a, buf[0].reshape(db, da, 2 * db), out=buf[1].reshape(db, da, 2 * db))
-        np.matmul(buf[1].view(complex).reshape(-1, db), bt, out=rows.view(complex).reshape(-1, db))
+    *factors, last = _pulse_factors(N.bit_length() - 1, angle)
+    d = len(factors[0])
+    rest = N // d
+    g = state.rho.view(np.float64).reshape(d, rest, 2 * N)  # re and im side by side
+    t = min(rest, max(1, _PULSE_STEP_FLOATS // (2 * N * d)))  # slabs per pass-1 step
+    u = min(d, max(1, _PULSE_STEP_FLOATS // (2 * N * rest)))  # blocks per pass-2 step
+    buf = np.empty(max(2 * d * t, u * rest) * 2 * N)  # one buffer for both passes
+    slabs = buf[: 2 * d * t * 2 * N].reshape(2, d * t, 2 * N)
+    w = len(last)
+    for j in range(0, rest, t):
+        slab = g[:, j : j + t]
+        np.matmul(factors[0], slab.reshape(d, -1), out=slabs[0].reshape(d, -1))
+        rows = d * t  # column legs of all but the innermost factor
+        for k, f in enumerate(factors[:-1]):
+            np.matmul(f, slabs[k % 2].reshape(rows, len(f), -1), out=slabs[1 - k % 2].reshape(rows, len(f), -1))
+            rows *= len(f)
+        np.matmul(slabs[(len(factors) - 1) % 2].reshape(d, -1, w), last, out=slab.reshape(d, -1, w))
+    if len(factors) == 3:
+        _, f2, f3 = factors
+        tmp = buf[: u * rest * 2 * N].reshape(u, rest, 2 * N)
+        for i in range(0, d, u):
+            block = g[i : i + u]
+            np.matmul(f2, block.reshape(u, len(f2), -1), out=tmp.reshape(u, len(f2), -1))
+            np.matmul(f3, tmp.reshape(u * len(f2), len(f3), -1), out=block.reshape(u * len(f2), len(f3), -1))
     return state
 
 

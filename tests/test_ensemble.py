@@ -110,7 +110,8 @@ class TestApplyPulse:
     @pytest.mark.parametrize("axis", ["y"])
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_dense_exponential_for_every_factor_split(self, axis, n):
-        # n = 1..7 puts 0..3 spins in the high factor and 1..4 in the low
+        # n = 1..4 run as one factor; n = 5..7 as three, (2, 2, 1),
+        # (2, 2, 2) and (3, 2, 2) spins from the high end
         rng = np.random.default_rng(100 + n)
         state = random_deviation_state(n, rng)
         angle = float(rng.uniform(-np.pi, np.pi))
@@ -119,9 +120,11 @@ class TestApplyPulse:
         assert np.abs(fast - r @ state.rho @ r.conj().T).max() < 1e-11
 
     @pytest.mark.parametrize("axis", ["y"])
-    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("n", range(1, 12))
     def test_matches_spinwise_rotation_past_expm_range(self, axis, n):
-        # n = 9 is the first split past n = 7 with unequal factors (16 x 32)
+        # every split the pulse uses up to n = 11, one per n: one factor up
+        # to n = 4, then three, up to (4, 4, 3) spins; from n = 8 on, past
+        # the dense exponential's range, this is the only reference
         rng = np.random.default_rng(200 + n)
         state = random_deviation_state(n, rng)
         angle = float(rng.uniform(-np.pi, np.pi))
@@ -139,8 +142,8 @@ class TestApplyPulse:
         assert abs(out.trace()) < STRUCT_TOL
 
     def test_peak_allocation_is_one_state(self):
-        # the rotation works in place on the state's array; its two buffers
-        # of len(B) rows each are a fraction of it
+        # the rotation works in place on the state's array; its one buffer,
+        # two slab steps or one block step, is a fraction of it
         state = initial_state(SpinSystem(9))
         apply_pulse(state, np.pi / 2)
         tracemalloc.start()

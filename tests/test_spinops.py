@@ -217,6 +217,15 @@ class TestConjugate:
         with pytest.raises(ValueError):
             conjugate(DiagonalUnitary(np.ones(8)), state)
 
+    def test_length_one_unitary_rejected(self):
+        # a single phase would broadcast over any state without an error
+        rng = np.random.default_rng(16)
+        state = random_deviation_state(2, rng)
+        before = state.rho.copy()
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            conjugate(DiagonalUnitary(np.array([1j])), state)
+        assert np.array_equal(state.rho, before)
+
     def test_rejects_unknown_operand(self):
         rng = np.random.default_rng(15)
         with pytest.raises(TypeError):
@@ -270,3 +279,21 @@ class TestTypeValidation:
     def test_deviation_state_requires_traceless(self):
         with pytest.raises(ValueError):
             DeviationState(np.eye(2))
+
+    # each guard sits at STRUCT_TOL = 1e-12: a deviation of 1e-10 is
+    # rejected and one of 1e-14 (round-off) accepted, so loosening or
+    # tightening a guard by two orders of magnitude fails here
+    def test_unit_modulus_guard_at_its_tolerance(self):
+        with pytest.raises(ValueError, match="unit modulus"):
+            DiagonalUnitary(np.array([1.0 + 1e-10, 1.0]))
+        DiagonalUnitary(np.array([1.0 + 1e-14, 1.0]))
+
+    def test_hermitian_guard_at_its_tolerance(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            DeviationState(np.array([[0.0, 1e-10], [0.0, 0.0]]))
+        DeviationState(np.array([[0.0, 1e-14], [0.0, 0.0]]))
+
+    def test_trace_guard_at_its_tolerance(self):
+        with pytest.raises(ValueError, match="traceless"):
+            DeviationState(np.diag([1e-10, 0.0]))
+        DeviationState(np.diag([1e-14, 0.0]))
