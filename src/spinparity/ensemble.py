@@ -15,10 +15,14 @@ spin's index pairs, and always agree with that difference modulo 2 (see
 Two engines run it.  ``run_sequence`` is the dense reference: it builds the
 N x N density matrix once (``initial_state``), and every later stage
 (``spinops.conjugate``, ``apply_pulse`` and the two filters) transforms that
-state's array in place and returns the same state.  ``pair_sequence``
-is the one the solver uses: the purged state is a sum of single-spin
-longitudinal terms, so spin k's amplitude depends only on the oracle and
-shift phases over spin k's index pairs.  At 90 degrees those phases are
+state's array in place and returns the same state.  Each of those stages,
+and the readout's purity check, works on independent row slabs, blocks or
+bands of the state, which ``_workers.run_split`` deals out to worker threads
+on a process with more than one CPU, from n = 9 up (the pulse from n = 10,
+under a one-thread BLAS); the result is byte-identical to one worker's.
+``pair_sequence`` is the one the solver uses: the purged state is a sum of
+single-spin longitudinal terms, so spin k's amplitude depends only on the
+oracle and shift phases over spin k's index pairs.  At 90 degrees those phases are
 powers of ``-i`` with exponents ``q``, and a pair ``(r, r + 2^(n-k))`` adds
 ``sin(pi/2 * (q_r - q_{r + 2^(n-k)}))``, which is 0 or +/-1: an exact
 integer readout in O(nN), independent of the polarizations.  The engine
@@ -38,6 +42,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from ._workers import band_rows, blas_single_threaded, run_split, worker_count
 from .oracles import PhaseFunction, ShiftSpec, phase_oracle, shift_unitary_direct
 from .spinops import (
     STRUCT_TOL,
@@ -95,25 +100,40 @@ class SignalVector:
         return sig
 
 
+@lru_cache(maxsize=None)
+def _pair_indices(n: int) -> tuple:
+    """Per spin k = 1..n, ``(r, r + 2^(n-k))``: the ``N/2`` indices ``r``
+    whose spin-k bit is 0 and their partners, as read-only ``int32`` arrays
+    (``n N`` entries in all)."""
+    x = np.arange(1 << n, dtype=np.int32)
+    pairs = []
+    for k in range(1, n + 1):
+        r = x[(x >> (n - k)) & 1 == 0]
+        c = r + (1 << (n - k))
+        r.setflags(write=False)
+        c.setflags(write=False)
+        pairs.append((r, c))
+    return tuple(pairs)
+
+
 def initial_state(system: SpinSystem) -> DeviationState:
     """Transverse starting state: the polarization-weighted sum of per-spin
-    y components.  Assembled directly from its index-pair structure."""
-    n, N = system.n, system.dim
-    rho = np.zeros((N, N), dtype=complex)
-    x = np.arange(N)
-    for k in range(1, n + 1):
-        step = 1 << (n - k)
-        r = x[(x >> (n - k)) & 1 == 0]
-        rho[r, r + step] += -0.5j * system.epsilon[k - 1]
-        rho[r + step, r] += 0.5j * system.epsilon[k - 1]
+    y components, ``-i eps_k / 2`` at each index pair ``(r, c)`` of spin k
+    and ``+i eps_k / 2`` at ``(c, r)``.  Assembled directly from that
+    index-pair structure (cached per n), one assignment per triangle and
+    spin."""
+    rho = np.zeros((system.dim, system.dim), dtype=complex)
+    for (r, c), eps in zip(_pair_indices(system.n), system.epsilon):
+        rho.imag[c, r] = 0.5 * eps
+        rho.imag[r, c] = -0.5 * eps
     return DeviationState(rho, validate=False)
 
 
 # Floats per step of either pulse pass: a step takes as many whole slabs
 # (pass 1) or blocks (pass 2) as fit, and at least one, so a small register
 # takes a few BLAS calls instead of one per slab.  From n = 10 up every step
-# is one slab or block; the one buffer is 0.13 of the state at n = 9 and
-# 0.06 at n = 10.
+# is one slab or block; a worker's buffer is 0.13 of the state at n = 9 and
+# 0.06 from n = 10 up.
 _PULSE_STEP_FLOATS = 1 << 14
 
 
@@ -160,8 +180,11 @@ def apply_pulse(state: DeviationState, angle: float) -> DeviationState:
       factors' row legs alone mix, and applies them, the second writing
       straight back.
 
-    No leg is a complex matmul and no slab or block is copied back.  One
-    buffer, the larger of two slab steps and one block step, serves both
+    No leg is a complex matmul and no slab or block is copied back.  The
+    slabs of pass 1, and the blocks of pass 2, are independent, so under a
+    one-thread BLAS (``_workers.blas_single_threaded``) each pass is dealt
+    out to the workers of ``_workers.run_split``, each with its own buffer,
+    the larger of two slab steps and one block step, that serves both
     passes (see ``_PULSE_STEP_FLOATS``).
     """
     if not -2.0 * np.pi < angle < 2.0 * np.pi:
@@ -173,51 +196,87 @@ def apply_pulse(state: DeviationState, angle: float) -> DeviationState:
     g = state.rho.view(np.float64).reshape(d, rest, 2 * N)  # re and im side by side
     t = min(rest, max(1, _PULSE_STEP_FLOATS // (2 * N * d)))  # slabs per pass-1 step
     u = min(d, max(1, _PULSE_STEP_FLOATS // (2 * N * rest)))  # blocks per pass-2 step
-    buf = np.empty(max(2 * d * t, u * rest) * 2 * N)  # one buffer for both passes
-    slabs = buf[: 2 * d * t * 2 * N].reshape(2, d * t, 2 * N)
+    size = max(2 * d * t, u * rest) * 2 * N  # floats of one worker's buffer
+    chunks = min(rest // t, d // u) if len(factors) == 3 else rest // t
+    workers = worker_count(N, chunks if blas_single_threaded() else 1, 8 * size)
+    bufs = np.empty((workers, size))
     w = len(last)
-    for j in range(0, rest, t):
-        slab = g[:, j : j + t]
-        np.matmul(factors[0], slab.reshape(d, -1), out=slabs[0].reshape(d, -1))
-        rows = d * t  # column legs of all but the innermost factor
-        for k, f in enumerate(factors[:-1]):
-            np.matmul(f, slabs[k % 2].reshape(rows, len(f), -1), out=slabs[1 - k % 2].reshape(rows, len(f), -1))
-            rows *= len(f)
-        np.matmul(slabs[(len(factors) - 1) % 2].reshape(d, -1, w), last, out=slab.reshape(d, -1, w))
+
+    def slabs(i, lo, hi):
+        buf = bufs[i, : 2 * d * t * 2 * N].reshape(2, d * t, 2 * N)
+        for j in range(lo * t, hi * t, t):
+            slab = g[:, j : j + t]
+            np.matmul(factors[0], slab.reshape(d, -1), out=buf[0].reshape(d, -1))
+            rows = d * t  # column legs of all but the innermost factor
+            for k, f in enumerate(factors[:-1]):
+                np.matmul(f, buf[k % 2].reshape(rows, len(f), -1), out=buf[1 - k % 2].reshape(rows, len(f), -1))
+                rows *= len(f)
+            np.matmul(buf[(len(factors) - 1) % 2].reshape(d, -1, w), last, out=slab.reshape(d, -1, w))
+
+    run_split(slabs, workers, rest // t)
     if len(factors) == 3:
         _, f2, f3 = factors
-        tmp = buf[: u * rest * 2 * N].reshape(u, rest, 2 * N)
-        for i in range(0, d, u):
-            block = g[i : i + u]
-            np.matmul(f2, block.reshape(u, len(f2), -1), out=tmp.reshape(u, len(f2), -1))
-            np.matmul(f3, tmp.reshape(u * len(f2), len(f3), -1), out=block.reshape(u * len(f2), len(f3), -1))
+
+        def blocks(i, lo, hi):
+            tmp = bufs[i, : u * rest * 2 * N].reshape(u, rest, 2 * N)
+            for b in range(lo * u, hi * u, u):
+                block = g[b : b + u]
+                np.matmul(f2, block.reshape(u, len(f2), -1), out=tmp.reshape(u, len(f2), -1))
+                np.matmul(f3, tmp.reshape(u * len(f2), len(f3), -1), out=block.reshape(u * len(f2), len(f3), -1))
+
+        run_split(blocks, workers, d // u)
     return state
 
 
 @lru_cache(maxsize=None)
-def _zero_order_mask(N: int) -> np.ndarray:
-    """True where |r><c| has coherence order 0: r and c have equal popcounts."""
-    pc = np.array([x.bit_count() for x in range(N)])
-    mask = pc[None, :] == pc[:, None]
-    mask.setflags(write=False)
-    return mask
+def _order_tables(N: int) -> tuple:
+    """``(popcounts, nonzero, zero)`` for the indices ``0..N-1``: each index's
+    popcount (``intp``), and two read-only ``(n + 1) x N`` bool tables whose
+    row ``w`` is true at the columns ``c`` whose coherence order against a
+    row of popcount ``w``, ``popcount(c) - w``, is nonzero (zero)."""
+    pc = np.array([x.bit_count() for x in range(N)], dtype=np.intp)
+    zero = np.arange(N.bit_length())[:, None] == pc[None, :]
+    nonzero = ~zero
+    for a in (pc, nonzero, zero):
+        a.setflags(write=False)
+    return pc, nonzero, zero
+
+
+def _cancel_off_diagonal(state: DeviationState, pc: np.ndarray, table: np.ndarray) -> DeviationState:
+    """Cancel, in place, every off-diagonal element ``[r, c]`` where
+    ``table[pc[r], c]`` is true, ``pc`` the popcounts, one band of rows at a
+    time: a band's mask is its rows' rows of the table, so no N x N mask is
+    built.  A cancelled element reads 0.0 whatever it held, NaN and inf
+    included."""
+    rho, N = state.rho, state.dim
+    h = band_rows(N)
+    workers = worker_count(N, N // h, h * N)
+    masks = np.empty((workers, h, N), dtype=bool)
+
+    def bands(i, lo, hi):
+        mask = masks[i]
+        flat = mask.reshape(-1)
+        for r in range(lo * h, hi * h, h):
+            table.take(pc[r : r + h], axis=0, out=mask, mode="clip")
+            flat[r :: N + 1] = False  # the diagonal entries of this band
+            np.copyto(rho[r : r + h], 0.0, where=mask)
+
+    run_split(bands, workers, N // h)
+    return state
 
 
 def gradient_filter(state: DeviationState) -> DeviationState:
     """Cancel every element of nonzero coherence order, in place; populations
     and zero-quantum elements survive."""
-    np.copyto(state.rho, 0.0, where=~_zero_order_mask(state.dim))
-    return state
+    pc, nonzero, _ = _order_tables(state.dim)
+    return _cancel_off_diagonal(state, pc, nonzero)
 
 
 def zero_quantum_filter(state: DeviationState) -> DeviationState:
     """Cancel the off-diagonal zero-quantum elements, in place; composed with
     the gradient filter this is an exact projection onto the diagonal."""
-    rho = state.rho
-    diagonal = rho.diagonal().copy()
-    np.copyto(rho, 0.0, where=_zero_order_mask(state.dim))
-    np.fill_diagonal(rho, diagonal)
-    return state
+    pc, _, zero = _order_tables(state.dim)
+    return _cancel_off_diagonal(state, pc, zero)
 
 
 def signal_unit(N: int, snr_mode: bool) -> float:
@@ -240,17 +299,26 @@ def _signal(amps, N: int, threshold: float, snr_mode: bool) -> SignalVector:
 
 
 def _off_diagonal_max(rho: np.ndarray) -> float:
-    """max |rho[r, c]| over r != c (NaN if any is NaN), one block of rows at
-    a time, so no N x N copy is made."""
+    """max |rho[r, c]| over r != c (NaN if any is NaN), one band of rows at a
+    time, so no N x N copy is made.  The workers share one band's worth of
+    buffer, each taking bands a power of 2 times shorter."""
     N = len(rho)
-    h = min(N, max(1, (1 << 16) // N))  # rows per block, a power of 2 dividing N
-    mag = np.empty((h, N))
-    worst = 0.0
-    for i in range(0, N, h):
-        np.abs(rho[i : i + h], out=mag)
-        mag.reshape(-1)[i :: N + 1] = 0.0  # the diagonal entries of this block
-        worst = np.maximum(worst, mag.max())
-    return worst
+    h = band_rows(N)
+    workers = worker_count(N, N // h)
+    h = max(1, h >> (workers - 1).bit_length())  # at most h rows of buffer in all
+    mags = np.empty((workers, h, N))
+    maxima = np.empty(N // h)
+
+    def bands(i, lo, hi):
+        mag = mags[i]
+        flat = mag.reshape(-1)
+        for b in range(lo, hi):
+            np.abs(rho[b * h : (b + 1) * h], out=mag)
+            flat[b * h :: N + 1] = 0.0  # the diagonal entries of this band
+            maxima[b] = mag.max()
+
+    run_split(bands, workers, N // h)
+    return maxima.max()
 
 
 def read_signal(

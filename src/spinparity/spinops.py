@@ -5,10 +5,11 @@ Everything here works on a register of ``n`` work spins with dimension
 basis state ``s`` assigns spin ``k`` the bit ``(s >> (n - k)) & 1``, with
 bit 0 corresponding to magnetic quantum number +1/2.  States are plain
 complex matrices; the only unitaries conjugated here are diagonal, stored as
-phase vectors so that conjugation stays O(N^2) (the hard pulse has its own
-path, ``ensemble.apply_pulse``).  A quarter-turn diagonal unitary acts on a
-state vector held as its quarter-turn exponents mod 4, in two bit planes, by
-a bitwise mod-4 add, O(N/64) machine words.  The single-spin operators,
+phase vectors so that conjugation stays O(N^2), band by band of rows, which
+the dense engine's worker threads (``_workers``) share out from n = 9 up
+(the hard pulse has its own path, ``ensemble.apply_pulse``).  A quarter-turn
+diagonal unitary acts on a state vector held as its quarter-turn exponents
+mod 4, in two bit planes, by a bitwise mod-4 add, O(N/64) machine words.  The single-spin operators,
 basis projectors and scalar coherence order that tests build their targets
 from live in ``verification``.
 """
@@ -19,6 +20,8 @@ from dataclasses import InitVar, dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from ._workers import band_rows, run_split, worker_count
 
 # Absolute tolerance for structural invariants (hermiticity, unit modulus,
 # tracelessness): ~100x double round-off for phase products up to N = 4096.
@@ -179,19 +182,29 @@ def conjugate(u: DiagonalUnitary, state: DeviationState) -> DeviationState:
     state's array; returns the same state.
 
     The elementwise path ``rho[r, c] *= phases[r] * conj(phases[c])`` is
-    O(N^2) with no N x N temporary; ``TypeError`` for anything but a
-    ``DiagonalUnitary``.
+    O(N^2) with no N x N temporary, run on bands of rows, which
+    ``_workers.run_split`` deals out to its workers; ``TypeError`` for
+    anything but a ``DiagonalUnitary``.
     """
     if not isinstance(u, DiagonalUnitary):
         raise TypeError(f"cannot conjugate by {type(u).__name__}")
     if u.dim != state.dim:
         raise ValueError(f"dimension mismatch: {u.dim} vs {state.dim}")
-    rho = state.rho
+    rho, N = state.rho, state.dim
     _OP_COUNTS["diagonal"] += 1
     p = u.phases
-    # elementwise scaling preserves hermiticity and trace exactly
-    rho *= p.conj()[None, :]
-    rho *= p[:, None]
+    pc = p.conj()
+    h = band_rows(N)
+    workers = worker_count(N, N // h)
+
+    def bands(i, lo, hi):
+        # elementwise scaling preserves hermiticity and trace exactly
+        for r in range(lo * h, hi * h, h):
+            rows = rho[r : r + h]
+            rows *= pc
+            rows *= p[r : r + h, None]
+
+    run_split(bands, workers, N // h)
     return state
 
 

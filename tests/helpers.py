@@ -15,16 +15,45 @@ from spinparity import (
     evolved_purged_state,
     read_signal,
 )
+from spinparity import _workers
 from spinparity.ensemble import DEFAULT_THRESHOLD, pair_sequence
 
 
 def random_deviation_state(n: int, rng: np.random.Generator) -> DeviationState:
     """Random traceless Hermitian matrix on n spins."""
     N = 1 << n
-    raw = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
-    herm = 0.5 * (raw + raw.conj().T)
-    herm -= np.eye(N) * herm.trace() / N
+    re, im = rng.normal(size=(N, N)), rng.normal(size=(N, N))
+    # the Hermitian part of re + 1j * im, built in place, with its trace removed
+    herm = np.empty((N, N), dtype=complex)
+    np.add(re, re.T, out=herm.real)
+    np.subtract(im, im.T, out=herm.imag)
+    herm *= 0.5
+    herm.reshape(-1)[:: N + 1] -= herm.trace() / N
     return DeviationState(herm)
+
+
+def random_complex_state(n: int, rng: np.random.Generator) -> DeviationState:
+    """A state whose every element is a random complex number, with no
+    structure at all: for checks that compare two ways of running a stage,
+    byte for byte."""
+    N = 1 << n
+    return DeviationState(rng.random((N, 2 * N)).view(complex), validate=False)
+
+
+def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when two arrays hold the same bytes: unlike ``==``, this tells
+    -0.0 from 0.0 and matches NaN with the same NaN."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def split_and_serial(monkeypatch, run):
+    """``run()`` with the dense stages split over 3 workers, then with one
+    worker, each with the CPU count the stages see patched; the split one
+    deals out more than two runs per stage even on a 2-CPU machine."""
+    monkeypatch.setattr(_workers, "_cpu_count", lambda: 3)
+    split = run()
+    monkeypatch.setattr(_workers, "_cpu_count", lambda: 1)
+    return split, run()
 
 
 def copy_state(state: DeviationState) -> DeviationState:

@@ -15,7 +15,7 @@ import pytest
 import spinparity
 
 SRC = Path(spinparity.__file__).resolve().parent
-PRODUCTION = ("spinops", "oracles", "ensemble", "protocol", "cli", "reference")
+PRODUCTION = ("spinops", "oracles", "ensemble", "protocol", "cli", "reference", "_workers")
 MOVED = (
     "_HALF_SIGMA",
     "spin_operator",

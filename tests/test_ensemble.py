@@ -1,4 +1,12 @@
+import contextvars
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +32,7 @@ from spinparity import (
     shift_unitary_direct,
     zero_quantum_filter,
 )
+from spinparity import _workers, ensemble
 from spinparity.spinops import STRUCT_TOL
 from spinparity.verification import (
     coherence_order,
@@ -34,7 +43,15 @@ from spinparity.verification import (
     spin_operator,
 )
 
-from helpers import copy_state, engine_cases, random_deviation_state, random_function
+from helpers import (
+    copy_state,
+    engine_cases,
+    random_complex_state,
+    random_deviation_state,
+    random_function,
+    same_bytes,
+    split_and_serial,
+)
 
 
 def dense_pulse_matrix(n, axis, angle):
@@ -43,13 +60,18 @@ def dense_pulse_matrix(n, axis, angle):
 
 
 def spinwise_pulse(rho, n, axis, angle):
-    """Conjugate by the pulse one spin at a time with its 2 x 2 rotation."""
+    """Conjugate by the pulse one spin at a time with its 2 x 2 rotation
+    ``r``, which is real about y: ``r`` mixes the rows of each spin's index
+    pairs on the state's float view, where the real and imaginary parts ride
+    along, and then, on the transpose, the columns."""
     r = expm(-1j * angle * spin_operator(1, 1, axis))
+    assert not r.imag.any(), "the float-view reference needs a real rotation"
     N = 1 << n
-    for k in range(n):
-        hi, lo = 1 << k, 1 << (n - 1 - k)
-        rho = np.einsum("ij,ajbc->aibc", r, rho.reshape(hi, 2, lo, N)).reshape(N, N)
-        rho = np.einsum("ij,cajb->caib", r.conj(), rho.reshape(N, hi, 2, lo)).reshape(N, N)
+    for _ in range(2):  # rows, then the rows of the transpose
+        g = rho.view(np.float64)
+        for k in range(n):
+            g = np.matmul(r.real, g.reshape(1 << k, 2, -1))
+        rho = g.reshape(N, 2 * N).view(complex).T.copy()
     return rho
 
 
@@ -141,19 +163,23 @@ class TestApplyPulse:
         assert np.abs(out - out.conj().T).max() < STRUCT_TOL
         assert abs(out.trace()) < STRUCT_TOL
 
-    def test_peak_allocation_is_one_state(self):
-        # the rotation works in place on the state's array; its one buffer,
-        # two slab steps or one block step, is a fraction of it
-        state = initial_state(SpinSystem(9))
-        apply_pulse(state, np.pi / 2)
-        tracemalloc.start()
-        try:
-            out = apply_pulse(state, np.pi / 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out is state
-        assert peak <= 0.25 * out.rho.nbytes
+    def test_peak_allocation_is_one_state(self, monkeypatch):
+        # the rotation works in place on the state's array; each worker's one
+        # buffer, two slab steps or one block step, is a fraction of it, and
+        # the buffer budget caps the workers: 3 of 8 CPUs from n = 10 up
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 8)
+        for n in (9, 10, 11):
+            state = initial_state(SpinSystem(n))
+            apply_pulse(state, np.pi / 2)
+            tracemalloc.start()
+            try:
+                out = apply_pulse(state, np.pi / 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out is state
+            assert peak <= 0.25 * out.rho.nbytes, (n, peak)
+        assert len(_workers._workers) >= 3
 
     def test_angle_outside_open_range_rejected(self):
         state = initial_state(SpinSystem(2))
@@ -519,6 +545,190 @@ class TestRunSequence:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * 16 * system.dim**2
+
+
+class TestWorkerSplit:
+    """From n = 9 up (n = 10 for the pulse) the dense stages deal their
+    chunks out to worker threads; every result must be the one a single
+    worker gives, byte for byte, and no worker may keep a finished run's
+    state alive."""
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_pulse_is_byte_identical(self, monkeypatch, n):
+        state = random_complex_state(n, np.random.default_rng(800 + n))
+        split, serial = split_and_serial(monkeypatch, lambda: apply_pulse(copy_state(state), 1.234).rho)
+        assert same_bytes(split, serial)
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_filters_are_byte_identical_with_nan_and_inf(self, monkeypatch, n):
+        rng = np.random.default_rng(810 + n)
+        state = random_complex_state(n, rng)
+        N = 1 << n
+        rows, cols = rng.integers(0, N, 160), rng.integers(0, N, 160)
+        rows[:8] = cols[:8]  # some on the diagonal
+        specials = np.array([np.nan, np.inf, -np.inf, complex(np.nan, np.inf)])
+        state.rho[rows, cols] = specials[np.arange(160) % 4]
+        same_order = np.array([r.bit_count() == c.bit_count() for r, c in zip(rows.tolist(), cols.tolist())])
+        for stage, cancel in ((gradient_filter, ~same_order), (zero_quantum_filter, same_order & (rows != cols))):
+            split, serial = split_and_serial(monkeypatch, lambda: stage(copy_state(state)).rho)
+            assert same_bytes(split, serial), stage.__name__
+            # a cancelled element reads 0.0 whatever it held; the rest keep their bytes
+            assert not serial[rows[cancel], cols[cancel]].any(), stage.__name__
+            assert same_bytes(serial[rows[~cancel], cols[~cancel]], state.rho[rows[~cancel], cols[~cancel]])
+            assert 0 < cancel.sum() < len(cancel)
+
+    @pytest.mark.parametrize("sign", [None, +1, -1])
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_runs_are_byte_identical(self, monkeypatch, n, sign):
+        rng = np.random.default_rng(820 + n)
+        system = SpinSystem(n, epsilon=tuple(rng.uniform(0.5, 2.0, n)))
+        f = random_function(n, rng)
+        spec = None if sign is None else ShiftSpec(int(rng.integers(1, 1 << (n - 1))), sign)
+
+        def run():
+            state = evolved_purged_state(system, f, spec)
+            return state.rho, read_signal(state, system)
+
+        (split, split_sig), (serial, serial_sig) = split_and_serial(monkeypatch, run)
+        assert same_bytes(split, serial)
+        assert same_bytes(np.array(split_sig.amplitudes), np.array(serial_sig.amplitudes))
+        assert split_sig == serial_sig
+
+    def test_pulse_splits_only_under_a_one_thread_blas(self, monkeypatch):
+        # workers calling a multi-threaded BLAS at once contend with its threads
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 3)
+        split = _workers.run_split
+        counts = []
+        monkeypatch.setattr(ensemble, "run_split", lambda job, w, c: (counts.append(w), split(job, w, c)))
+        state = initial_state(SpinSystem(10))
+        for threads in ("4", "1"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            apply_pulse(state, np.pi / 2)
+        assert counts == [1, 1, 3, 3]
+
+    def test_finished_run_leaves_no_reference_to_its_state(self, monkeypatch):
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 3)
+        state = evolved_purged_state(SpinSystem(10), random_function(10, np.random.default_rng(830)))
+        assert len(_workers._workers) >= 3
+        rho = weakref.ref(state.rho)
+        del state
+        assert rho() is None
+
+    def test_exception_in_a_run_reaches_the_caller(self):
+        ended = []
+
+        def job(i, lo, hi):
+            ended.append(i)
+            if i == 1:
+                raise KeyError(f"run {i}")
+
+        with pytest.raises(KeyError, match="run 1"):
+            _workers.run_split(job, 3, 3)
+        assert sorted(ended) == [0, 1, 2]  # every run ended before the raise
+        runs = []
+        _workers.run_split(lambda i, lo, hi: runs.append((i, lo, hi)), 3, 7)
+        assert sorted(runs) == [(0, 0, 2), (1, 2, 4), (2, 4, 7)]
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="no pthread_kill on this platform")
+    def test_interrupted_caller_starts_fresh_workers(self, monkeypatch):
+        monkeypatch.setattr(_workers, "_workers", [])
+
+        def job(i, lo, hi):
+            if i == 1:
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                time.sleep(0.5)  # the caller is still waiting when the signal lands
+
+        with pytest.raises(KeyboardInterrupt):
+            _workers.run_split(job, 2, 2)
+        assert _workers._workers == []
+        runs = []
+        _workers.run_split(lambda i, lo, hi: runs.append(i), 2, 2)
+        assert sorted(runs) == [0, 1]
+
+    def test_no_thread_to_start_runs_inline(self, monkeypatch):
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(_workers, "_workers", [])
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        runs = []
+        _workers.run_split(lambda i, lo, hi: runs.append((i, lo, hi, threading.get_ident())), 3, 5)
+        assert runs == [(0, 0, 5, threading.get_ident())]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    def test_worker_whose_cpu_is_gone_runs_unbound(self):
+        worker = _workers._Worker(0, 4095)  # a CPU this machine does not have
+        runs = []
+        worker.job = (contextvars.copy_context(), lambda i, lo, hi: runs.append((i, lo, hi)), 0, 0, 1)
+        worker.go.release()
+        assert worker.done.acquire(timeout=30)
+        assert runs == [(0, 0, 1)] and worker.error is None
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="thread-local error state")
+    def test_runs_see_the_callers_error_state(self):
+        seen = []
+        bufsize = np.getbufsize()
+        with np.errstate(over="raise"):
+            _workers.run_split(lambda i, lo, hi: seen.append(np.geterr()["over"]), 3, 3)
+        assert seen == ["raise"] * 3
+        assert np.getbufsize() == bufsize  # the runs' smaller buffer stays theirs
+
+    def test_concurrent_callers_share_the_workers(self, monkeypatch):
+        # one caller's stages split while the others find the workers busy
+        # and run theirs inline; every run must still read the same
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 3)
+        system = SpinSystem(10)
+        fs = [random_function(10, np.random.default_rng(840 + i)) for i in range(4)]
+        want = [run_sequence(system, f) for f in fs]
+        got = [[] for _ in fs]
+
+        def caller(i):
+            for _ in range(3):
+                got[i].append(run_sequence(system, fs[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(fs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[w] * 3 for w in want]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+    def test_forked_child_starts_its_own_workers(self, monkeypatch):
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 3)
+        system = SpinSystem(10)
+        f = random_function(10, np.random.default_rng(850))
+        want = run_sequence(system, f)  # the parent's workers are running
+        assert len(_workers._workers) >= 3
+        with warnings.catch_warnings():
+            # Python 3.12 warns that forking a multi-threaded process may deadlock
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                fresh = not _workers._workers
+                same = run_sequence(system, f) == want
+                code = 0 if fresh and same and len(_workers._workers) == 3 else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish its run")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 def _has_saturating_pair(f, spec):

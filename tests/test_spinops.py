@@ -18,7 +18,7 @@ from spinparity.verification import (
     spin_operator,
 )
 
-from helpers import copy_state, random_deviation_state
+from helpers import copy_state, random_complex_state, random_deviation_state, same_bytes, split_and_serial
 
 
 class TestSpinSystem:
@@ -225,6 +225,16 @@ class TestConjugate:
         with pytest.raises(ValueError, match="dimension mismatch"):
             conjugate(DiagonalUnitary(np.array([1j])), state)
         assert np.array_equal(state.rho, before)
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_split_is_byte_identical(self, monkeypatch, n):
+        # from n = 10 up the row bands are dealt out to worker threads
+        rng = np.random.default_rng(17 + n)
+        state = random_complex_state(n, rng)
+        u = DiagonalUnitary(np.exp(-1j * rng.uniform(0, 2 * np.pi, 1 << n)))
+        split, serial = split_and_serial(monkeypatch, lambda: conjugate(u, copy_state(state)).rho)
+        assert same_bytes(split, serial)
+        assert not same_bytes(serial, state.rho)
 
     def test_rejects_unknown_operand(self):
         rng = np.random.default_rng(15)
