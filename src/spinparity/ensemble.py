@@ -246,8 +246,10 @@ def _cancel_off_diagonal(state: DeviationState, pc: np.ndarray, table: np.ndarra
     """Cancel, in place, every off-diagonal element ``[r, c]`` where
     ``table[pc[r], c]`` is true, ``pc`` the popcounts, one band of rows at a
     time: a band's mask is its rows' rows of the table, so no N x N mask is
-    built.  A cancelled element reads 0.0 whatever it held, NaN and inf
-    included."""
+    built, and ``np.putmask`` writes the band.  A cancelled element reads
+    +0.0, both words zero, whatever it held, NaN, inf and -0.0 included, so
+    a purged state passes the readout's exact-zero screen
+    (``_off_diagonal_max``)."""
     rho, N = state.rho, state.dim
     h = band_rows(N)
     workers = worker_count(N, N // h, h * N)
@@ -259,7 +261,7 @@ def _cancel_off_diagonal(state: DeviationState, pc: np.ndarray, table: np.ndarra
         for r in range(lo * h, hi * h, h):
             table.take(pc[r : r + h], axis=0, out=mask, mode="clip")
             flat[r :: N + 1] = False  # the diagonal entries of this band
-            np.copyto(rho[r : r + h], 0.0, where=mask)
+            np.putmask(rho[r : r + h], mask, 0.0)
 
     run_split(bands, workers, N // h)
     return state
@@ -300,21 +302,36 @@ def _signal(amps, N: int, threshold: float, snr_mode: bool) -> SignalVector:
 
 def _off_diagonal_max(rho: np.ndarray) -> float:
     """max |rho[r, c]| over r != c (NaN if any is NaN), one band of rows at a
-    time, so no N x N copy is made.  The workers share one band's worth of
-    buffer, each taking bands a power of 2 times shorter."""
+    time, so no N x N copy is made.
+
+    Each band is first screened on the state's 64-bit words: when its
+    nonzero words are exactly those of its own diagonal entries, every
+    off-diagonal element is +0.0 and the band's max is 0.0, which is what
+    the exact path gives.  Any other band, one with a -0.0, a NaN or any
+    stray value, takes the exact path: ``np.abs`` into a buffer, the
+    diagonal zeroed, then the max.  A worker allocates its buffer at its
+    first such band; the workers' buffers add up to one band's worth, each
+    taking bands a power of 2 times shorter."""
     N = len(rho)
     h = band_rows(N)
     workers = worker_count(N, N // h)
     h = max(1, h >> (workers - 1).bit_length())  # at most h rows of buffer in all
-    mags = np.empty((workers, h, N))
+    pairs = rho.view(np.uint64).reshape(N, N, 2)  # each element's real and imaginary words
     maxima = np.empty(N // h)
 
     def bands(i, lo, hi):
-        mag = mags[i]
-        flat = mag.reshape(-1)
+        mag = None
         for b in range(lo, hi):
-            np.abs(rho[b * h : (b + 1) * h], out=mag)
-            flat[b * h :: N + 1] = 0.0  # the diagonal entries of this band
+            r = b * h
+            band = pairs[r : r + h]
+            # the diagonal entries' word pairs sit 2(N + 1) words apart
+            if np.count_nonzero(band) == np.count_nonzero(band.reshape(-1, 2)[r :: N + 1]):
+                maxima[b] = 0.0
+                continue
+            if mag is None:
+                mag = np.empty((h, N))
+            np.abs(rho[r : r + h], out=mag)
+            mag.reshape(-1)[r :: N + 1] = 0.0  # the diagonal entries of this band
             maxima[b] = mag.max()
 
     run_split(bands, workers, N // h)
@@ -334,6 +351,12 @@ def read_signal(
     rescaled by 2/N to the physically detectable magnitude and the given
     threshold acts as the detection floor; it must lie in (0, unit), see
     ``signal_unit``.
+
+    The state must be purged: ``ValueError`` when the largest off-diagonal
+    modulus (``_off_diagonal_max``) exceeds ``STRUCT_TOL`` or is NaN, with
+    that modulus in the message.  A band of rows whose off-diagonal
+    elements are all +0.0, as the purge filters leave them, is passed on an
+    exact-zero word count; any other band is measured exactly.
     """
     if state.dim != system.dim:
         raise ValueError(f"dimension mismatch: {state.dim} vs {system.dim}")

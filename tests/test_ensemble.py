@@ -1,4 +1,5 @@
 import contextvars
+import functools
 import os
 import signal
 import sys
@@ -52,6 +53,21 @@ from helpers import (
     same_bytes,
     split_and_serial,
 )
+
+
+@functools.lru_cache(maxsize=None)
+def purged_pipeline_state(n):
+    """A purged n-spin pipeline state and its system, shared between tests:
+    a test that plants a value copies the array first."""
+    system = SpinSystem(n)
+    return system, evolved_purged_state(system, random_function(n, np.random.default_rng(900 + n)))
+
+
+def stray_sites(n):
+    """One off-diagonal element in the first, a middle and the last band of
+    rows, whatever the band height."""
+    N = 1 << n
+    return [(0, N - 1), (N // 2 + 1, 3), (N - 1, N - 2)]
 
 
 def dense_pulse_matrix(n, axis, angle):
@@ -314,6 +330,77 @@ class TestReadSignal:
         rho[300, 301] = rho[301, 300] = 0.5 * STRUCT_TOL
         read_signal(DeviationState(rho, validate=False), system)
 
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_negative_zero_off_diagonal_is_accepted(self, n):
+        # -0.0 has a nonzero word, so its band fails the exact-zero screen
+        # and takes the exact path, where |-0.0| is 0.0
+        system, state = purged_pipeline_state(n)
+        expected = read_signal(state, system)
+        for r, c in stray_sites(n):
+            for value in (-0.0, complex(0.0, -0.0), complex(-0.0, -0.0)):
+                rho = state.rho.copy()
+                rho[r, c] = value
+                assert read_signal(DeviationState(rho, validate=False), system) == expected, (r, c, value)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_stray_is_rejected_with_its_exact_modulus(self, n):
+        system, state = purged_pipeline_state(n)
+        for r, c in stray_sites(n):
+            rho = state.rho.copy()
+            rho[r, c] = 3e-12 * (1 + 1j)
+            with pytest.raises(ValueError, match=r"off-diagonal max 4\.243e-12$"):
+                read_signal(DeviationState(rho, validate=False), system)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_stray_in_a_band_with_zero_diagonal_is_rejected(self, n):
+        # the screen must count the diagonal's nonzero words, not assume
+        # every diagonal word is nonzero
+        system, state = purged_pipeline_state(n)
+        for r, c in stray_sites(n):
+            for value in (3e-12, 3e-12j):
+                rho = state.rho.copy()
+                h = _workers.band_rows(len(rho))  # the tallest band; a split band lies in one
+                rho[range(r - r % h, r - r % h + h), range(r - r % h, r - r % h + h)] = 0.0
+                rho[r, c] = value
+                with pytest.raises(ValueError, match=r"off-diagonal max 3\.000e-12$"):
+                    read_signal(DeviationState(rho, validate=False), system)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_screen_verdicts_match_on_one_and_three_workers(self, monkeypatch, n):
+        system, state = purged_pipeline_state(n)
+
+        def verdicts():
+            out = []
+            for r, c in stray_sites(n):
+                for value in (complex(-0.0, -0.0), 3e-12 * (1 + 1j), np.nan):
+                    rho = state.rho.copy()
+                    rho[r, c] = value
+                    try:
+                        out.append(read_signal(DeviationState(rho, validate=False), system))
+                    except ValueError as exc:
+                        out.append(str(exc))
+            return out
+
+        split, serial = split_and_serial(monkeypatch, verdicts)
+        assert split == serial
+        prefix = "readout requires a purged (diagonal) state; off-diagonal max "
+        assert serial == [read_signal(state, system), prefix + "4.243e-12", prefix + "nan"] * 3
+
+    def test_purged_pipeline_state_takes_the_screen(self):
+        # every band of a purged state passes the exact-zero screen, which
+        # allocates nothing; read_signal's one other allocation is the float
+        # cast of the sign table in the amplitude product, n N floats
+        n = 10
+        system, state = purged_pipeline_state(n)
+        read_signal(state, system)  # build the cached bit-sign table outside the window
+        tracemalloc.start()
+        try:
+            read_signal(state, system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024 + 8 * n * state.dim, peak
+
     def test_readout_makes_no_state_sized_copy(self):
         n = 10
         system = SpinSystem(n)
@@ -566,14 +653,16 @@ class TestWorkerSplit:
         N = 1 << n
         rows, cols = rng.integers(0, N, 160), rng.integers(0, N, 160)
         rows[:8] = cols[:8]  # some on the diagonal
-        specials = np.array([np.nan, np.inf, -np.inf, complex(np.nan, np.inf)])
-        state.rho[rows, cols] = specials[np.arange(160) % 4]
+        specials = np.array([np.nan, np.inf, -np.inf, complex(np.nan, np.inf), complex(-0.0, -0.0)])
+        state.rho[rows, cols] = specials[np.arange(160) % 5]
         same_order = np.array([r.bit_count() == c.bit_count() for r, c in zip(rows.tolist(), cols.tolist())])
         for stage, cancel in ((gradient_filter, ~same_order), (zero_quantum_filter, same_order & (rows != cols))):
             split, serial = split_and_serial(monkeypatch, lambda: stage(copy_state(state)).rho)
             assert same_bytes(split, serial), stage.__name__
-            # a cancelled element reads 0.0 whatever it held; the rest keep their bytes
-            assert not serial[rows[cancel], cols[cancel]].any(), stage.__name__
+            # a cancelled element reads +0.0, both words zero, whatever it
+            # held, as the readout's exact-zero screen needs; the rest keep
+            # their bytes
+            assert same_bytes(serial[rows[cancel], cols[cancel]], np.zeros(cancel.sum(), dtype=complex)), stage.__name__
             assert same_bytes(serial[rows[~cancel], cols[~cancel]], state.rho[rows[~cancel], cols[~cancel]])
             assert 0 < cancel.sum() < len(cancel)
 
