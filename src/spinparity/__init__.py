@@ -19,11 +19,10 @@ from .ensemble import (
 from .oracles import (
     PhaseFunction,
     ShiftSpec,
-    mark_count,
     phase_oracle,
     shift_unitary_direct,
 )
-from .protocol import IterationRecord, RunTrace, SignalError, projected_call_counts, solve_parity
+from .protocol import IterationRecord, RunTrace, SignalError, solve_parity
 from .reference import (
     ReferenceReport,
     brute_parity,

@@ -71,11 +71,6 @@ def parse_truth_table(path: str) -> PhaseFunction:
         return parse_truth_table_text(fh.read())
 
 
-def format_truth_table(f: PhaseFunction) -> str:
-    row = "".join("-" if m else "+" for m in f.marks)
-    return f"{f.n}\n{row}\n"
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a single function source plus execution options.

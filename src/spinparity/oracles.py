@@ -1,5 +1,6 @@
 """Truth tables, their phase oracle, and the offset shift used by the parity
-search.
+search: ``PhaseFunction``, ``phase_oracle``, ``ShiftSpec`` with its block,
+and ``shift_unitary_direct``.
 
 A Boolean phase function marks a subset of basis indices with -1; its oracle
 is the diagonal unitary applying that sign (or a general phase angle) to the
@@ -7,8 +8,9 @@ marked indices.  The offset shift is a known, non-oracle diagonal unitary
 phasing a contiguous block of indices chosen so that all members share the
 sign of spin 1's bit; it is built here directly, one selective shift per
 block member.  Its compiled form, a short product of nonselective block
-shifts conjugated by bit flips, lives in ``verification`` with the
-selective, sign and block shifts, which only the tests use.
+shifts conjugated by bit flips over the set bits of the shift size, lives in
+``verification`` with the selective, sign and block shifts, which only the
+tests use.
 """
 
 from __future__ import annotations
@@ -76,10 +78,6 @@ class PhaseFunction:
         marked: packed on first use and kept for every later run."""
         return int.from_bytes(np.packbits(self.marks, bitorder="little").tobytes(), "little")
 
-    def values(self) -> np.ndarray:
-        """f(x) as a +/-1 integer vector."""
-        return 1 - 2 * self.marks.astype(np.int64)
-
     def exponents(self) -> np.ndarray:
         """g(x) as a 0/1 integer vector."""
         return self.marks.astype(np.int64)
@@ -120,11 +118,6 @@ class PhaseFunction:
         return cls(n, rng.random(1 << n) < density)
 
 
-def mark_count(f: PhaseFunction) -> int:
-    """Number of marked inputs; its parity equals the parity of f."""
-    return int(f.marks.sum())
-
-
 def phase_oracle(f: PhaseFunction, theta: float) -> DiagonalUnitary:
     """Generalized oracle with phases exp(-i theta g(x)); reduces to the sign
     oracle at theta = pi."""
@@ -161,11 +154,6 @@ class ShiftSpec:
         self.validate(n)
         start = 0 if self.sign > 0 else 1 << (n - 1)
         return slice(start, start + self.m)
-
-    @property
-    def bits(self) -> tuple:
-        """Exponents of the binary decomposition of ``m``, descending."""
-        return tuple(k for k in range(self.m.bit_length() - 1, -1, -1) if (self.m >> k) & 1)
 
 
 def shift_unitary_direct(spec: ShiftSpec, n: int) -> DiagonalUnitary:

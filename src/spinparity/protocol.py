@@ -25,7 +25,9 @@ plus M mod 2, because each index pair adds ``sin(pi/2 * dq)``, which is
 Every run goes through the exact integer pair engine
 ``ensemble.pair_sequence``, whose amplitudes are whole units, so every
 threshold in (0, unit) tells zero from nonzero; the dense
-``ensemble.run_sequence`` is the reference it is tested against.
+``ensemble.run_sequence`` is the reference it is tested against.  The
+worst-case call budget that criterion 7 checks,
+``verification.projected_call_counts``, is test-only and lives there.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .ensemble import DEFAULT_THRESHOLD, signal_unit
 # ``protocol.run_sequence`` as the sequence run the solver reaches.
 from .ensemble import pair_sequence as run_sequence
 from .oracles import PhaseFunction, ShiftSpec
-from .spinops import SpinSystem, integer_spin_count
+from .spinops import SpinSystem
 
 
 class SignalError(ValueError):
@@ -141,13 +143,3 @@ def solve_parity(
         m_star = hi
     parity = +1 if m_star % 2 == 0 else -1
     return RunTrace(tuple(records), parity, m_star)
-
-
-def projected_call_counts(n: int) -> dict:
-    """Worst-case oracle budget: n sequence runs, each consuming one
-    90-degree oracle application, i.e. two sign-oracle calls.  Uncapped: no
-    state is built."""
-    n = integer_spin_count(n)
-    if n < 1:
-        raise ValueError("spin count must be >= 1")
-    return {"uo": n, "uf": 2 * n}

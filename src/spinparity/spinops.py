@@ -158,7 +158,8 @@ class DeviationState:
 
 def bit_sign_table(n: int) -> np.ndarray:
     """The +/-1 encoding of basis-index bits for ``n`` spins: a read-only
-    ``(n, 2**n)`` integer array, one row per spin (cached).
+    ``(n, 2**n)`` float64 array of exact +/-1.0, one row per spin (cached),
+    so the readout's product with a float diagonal casts nothing.
 
     Entry ``[k-1, s]`` is +1 exactly when bit ``k`` of index ``s`` is 0
     (spin 1 = most significant bit), so ``diag(1/2 + a/2, 1/2 - a/2)`` is
@@ -172,7 +173,7 @@ def bit_sign_table(n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _bit_sign_table(n: int) -> np.ndarray:
     shifts = np.arange(n - 1, -1, -1)[:, None]  # n - k for k = 1..n
-    v = 1 - 2 * ((np.arange(1 << n) >> shifts) & 1)
+    v = 1.0 - 2.0 * ((np.arange(1 << n) >> shifts) & 1)
     v.setflags(write=False)
     return v
 

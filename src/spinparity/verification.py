@@ -4,9 +4,11 @@ No production module imports this one; it imports from them, and nothing
 on the solver, dense-engine, CLI or benchmark path calls into it.  It holds
 the dense single-spin algebra the tests build their targets from (spin
 operators, basis projectors, the scalar coherence order), the selective,
-sign and block phase shifts, the compiled offset-shift circuit (criterion
-5), and the closed-form conjugation and evolution expansions (criterion 4).
-The package does not import it, so callers import these names from
+sign and block phase shifts, the compiled offset-shift circuit with the
+set-bit list of the shift size it is built from (criterion 5), the
+closed-form conjugation and evolution expansions (criterion 4), and the
+projected worst-case oracle-call budget (criterion 7).  The package does
+not import it, so callers import these names from
 ``spinparity.verification``.
 """
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from .ensemble import initial_state
 from .oracles import PhaseFunction, ShiftSpec
-from .spinops import DeviationState, DiagonalUnitary, SpinSystem, bit_sign_table
+from .spinops import DeviationState, DiagonalUnitary, SpinSystem, bit_sign_table, integer_spin_count
 
 _HALF_SIGMA = {
     "x": 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -88,7 +90,7 @@ def selective_phase_shift(n: int, s: int, theta: float) -> DiagonalUnitary:
 
 def sign_oracle(f: PhaseFunction) -> DiagonalUnitary:
     """Oracle applying the sign f(x) to each basis index; squares to identity."""
-    return DiagonalUnitary(f.values().astype(complex))
+    return DiagonalUnitary((1 - 2 * f.marks).astype(complex))
 
 
 def block_phase_shift(n: int, width: int, theta: float) -> DiagonalUnitary:
@@ -135,7 +137,8 @@ def shift_unitary_compiled(spec: ShiftSpec, n: int) -> CompiledShift:
     factors = []
     if spec.sign < 0:
         factors.append(Factor("flip", 1))
-    set_bits = spec.bits
+    # exponents of the set bits of m, descending
+    set_bits = [k for k in range(spec.m.bit_length() - 1, -1, -1) if spec.m >> k & 1]
     for i, k in enumerate(set_bits):
         factors.append(Factor("block", n - k, -0.5 * np.pi))
         if i + 1 < len(set_bits):
@@ -254,3 +257,13 @@ def oracle_evolution_expansion(system: SpinSystem, f: PhaseFunction, theta: floa
             rho[r, c] += quad * e * (-0.5j)
             rho[c, r] += quad * e * (+0.5j)
     return DeviationState(rho)
+
+
+def projected_call_counts(n: int) -> dict:
+    """Worst-case oracle budget (criterion 7): n sequence runs, each
+    consuming one 90-degree oracle application, i.e. two sign-oracle calls.
+    Uncapped: no state is built."""
+    n = integer_spin_count(n)
+    if n < 1:
+        raise ValueError("spin count must be >= 1")
+    return {"uo": n, "uf": 2 * n}

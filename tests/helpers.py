@@ -68,6 +68,13 @@ def random_function(n: int, rng: np.random.Generator, density: float = None) -> 
     return PhaseFunction(n, rng.random(1 << n) < d)
 
 
+def format_truth_table(f: PhaseFunction) -> str:
+    """``f`` in the CLI's truth-table file format, which
+    ``cli.parse_truth_table_text`` reads back."""
+    row = "".join("-" if m else "+" for m in f.marks)
+    return f"{f.n}\n{row}\n"
+
+
 def function_from_mask(n: int, mask: int) -> PhaseFunction:
     """Truth table enumerated by an integer bitmask (bit x marks index x)."""
     return PhaseFunction(n, [(mask >> x) & 1 == 1 for x in range(1 << n)])

@@ -20,7 +20,6 @@ from spinparity import (
     evolved_purged_state,
     initial_state,
     phase_oracle,
-    projected_call_counts,
     run_sequence,
     shift_unitary_direct,
     solve_parity,
@@ -29,6 +28,7 @@ from spinparity.spinops import op_counts, reset_op_counts
 from spinparity.verification import (
     oracle_conjugation_expansion,
     oracle_evolution_expansion,
+    projected_call_counts,
     selective_conjugation_expansion,
     selective_phase_shift,
     shift_unitary_compiled,

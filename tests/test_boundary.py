@@ -2,7 +2,8 @@
 
 ``spinparity.verification`` imports from the production modules and never
 the other way round, and each construction it holds is defined there alone.
-Neither the package nor its console script loads it.
+Neither the package nor its console script loads it.  Every name a
+production module defines is used by production code or by the benchmark.
 """
 
 import ast
@@ -15,6 +16,7 @@ import pytest
 import spinparity
 
 SRC = Path(spinparity.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 PRODUCTION = ("spinops", "oracles", "ensemble", "protocol", "cli", "reference", "_workers")
 MOVED = (
     "_HALF_SIGMA",
@@ -33,7 +35,14 @@ MOVED = (
     "oracle_conjugation_expansion",
     "_phase_projector_expansion",
     "oracle_evolution_expansion",
+    "projected_call_counts",
 )
+# Production names that only the tests use, each with its reason.
+UNUSED_ALLOWED = {
+    # the per-call probe of ROADMAP item 3 replaces ``_OP_COUNTS`` and, with
+    # it, this reset, which the tests call between counted runs
+    "reset_op_counts",
+}
 
 
 def _tree(module: str) -> ast.Module:
@@ -50,6 +59,35 @@ def _defined(tree: ast.Module) -> set:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
     return names
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _members(tree: ast.Module) -> dict:
+    """The names ``_defined`` finds, and each class's non-dunder methods as
+    ``Class.method``, mapped to the name a use would spell."""
+    members = {name: name for name in _defined(tree)}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
+                    members[f"{node.name}.{item.name}"] = item.name
+    return members
+
+
+def _used(tree: ast.Module) -> set:
+    """Names read, attributes reached and names imported anywhere in ``tree``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.update(node.name.split("."))
+    return used
 
 
 @pytest.mark.parametrize("module", PRODUCTION)
@@ -69,6 +107,27 @@ def test_moved_names_not_defined_in_production_module(module):
 
 def test_moved_names_defined_in_verification():
     assert set(MOVED) <= _defined(_tree("verification"))
+
+
+def test_every_production_name_is_used():
+    # ``__init__.py`` is not read: a re-export is not a use
+    trees = [_tree(module) for module in PRODUCTION]
+    trees += [ast.parse(path.read_text(), filename=path.name) for path in sorted(BENCH.glob("*.py"))]
+    used = set().union(*map(_used, trees))
+    unused = [
+        f"{module}.{member}"
+        for module in PRODUCTION
+        for member, name in _members(_tree(module)).items()
+        if name not in used and name not in UNUSED_ALLOWED
+    ]
+    assert unused == []
+
+
+def test_test_only_members_left_the_package():
+    # the guard above cannot see ``values``, which the benchmark reads on dicts
+    assert not hasattr(spinparity.PhaseFunction, "values")
+    assert not hasattr(spinparity, "mark_count")
+    assert not hasattr(spinparity, "projected_call_counts")
 
 
 def test_cli_import_does_not_load_verification():

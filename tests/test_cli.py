@@ -11,7 +11,6 @@ from spinparity.cli import (
     ExperimentConfig,
     TruthTableError,
     bench,
-    format_truth_table,
     main,
     parse_truth_table,
     parse_truth_table_text,
@@ -19,6 +18,8 @@ from spinparity.cli import (
     resolve_function,
     run_experiment,
 )
+
+from helpers import format_truth_table
 
 
 class TestParseTruthTable:

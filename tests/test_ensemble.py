@@ -20,6 +20,7 @@ from spinparity import (
     SignalVector,
     SpinSystem,
     apply_pulse,
+    bit_sign_table,
     brute_shifted_signal,
     brute_shift_sums,
     brute_spin_sums,
@@ -388,8 +389,8 @@ class TestReadSignal:
 
     def test_purged_pipeline_state_takes_the_screen(self):
         # every band of a purged state passes the exact-zero screen, which
-        # allocates nothing; read_signal's one other allocation is the float
-        # cast of the sign table in the amplitude product, n N floats
+        # allocates nothing, and the float64 sign table enters the amplitude
+        # product uncast: an int64 table would cast n N floats, 80 kB here
         n = 10
         system, state = purged_pipeline_state(n)
         read_signal(state, system)  # build the cached bit-sign table outside the window
@@ -399,7 +400,27 @@ class TestReadSignal:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 1024 + 8 * n * state.dim, peak
+        assert peak < 16 * 1024, peak
+
+    def test_float_sign_table_product_matches_integer_table(self):
+        # bit for bit the product on an int64 table of the same signs, which
+        # numpy casts to float64 first: on random diagonals and on purged
+        # pipeline states, read as read_signal reads them (few at n = 10,
+        # where each dense run takes tens of milliseconds)
+        rng = np.random.default_rng(58)
+        diagonals = [rng.normal(size=1 << n) for n in range(1, 13) for _ in range(155)]
+        for n, count in ((6, 20), (9, 20), (10, 4)):
+            system = SpinSystem(n)
+            for i in range(count):
+                spec = None
+                if i % 4:
+                    spec = ShiftSpec(int(rng.integers(1, (1 << (n - 1)) + 1)), 1 - 2 * (i % 2))
+                state = evolved_purged_state(system, random_function(n, rng), spec)
+                diagonals.append(np.diag(state.rho).real)
+        for d in diagonals:
+            table = bit_sign_table(d.size.bit_length() - 1)
+            assert table.dtype == np.float64
+            assert same_bytes(table @ d, table.astype(np.int64) @ d)
 
     def test_readout_makes_no_state_sized_copy(self):
         n = 10

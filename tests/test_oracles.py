@@ -10,8 +10,8 @@ from spinparity import (
     ShiftSpec,
     SpinSystem,
     bit_sign_table,
+    brute_parity,
     conjugate,
-    mark_count,
     phase_oracle,
     shift_unitary_direct,
     solve_parity,
@@ -32,13 +32,13 @@ from helpers import copy_state
 class TestPhaseFunction:
     def test_sign_and_exponent_relation(self):
         f = PhaseFunction.from_marks(3, [1, 4, 7])
-        vals = f.values()
-        assert np.array_equal(vals, np.where(f.marks, -1, 1))
+        vals = 1 - 2 * f.marks
+        assert list(np.flatnonzero(vals == -1)) == [1, 4, 7]
         assert np.allclose(np.exp(-1j * np.pi * f.exponents()), vals)
 
     def test_constant_factories(self):
-        assert mark_count(PhaseFunction.constant(2, +1)) == 0
-        assert mark_count(PhaseFunction.constant(3, -1)) == 8
+        assert not PhaseFunction.constant(2, +1).marks.any()
+        assert PhaseFunction.constant(3, -1).marks.all()
 
     def test_single_factory(self):
         f = PhaseFunction.single(2, 3)
@@ -64,7 +64,7 @@ class TestPhaseFunction:
     def test_entries_other_than_bools_or_0_1_rejected(self):
         # read as 8 marks, the +/-1 value table would make both solvers
         # answer +1 for this function of parity -1
-        tables = [PhaseFunction.single(3, 5).values()]
+        tables = [1 - 2 * PhaseFunction.single(3, 5).marks]
         tables += [[bad] + [0] * 7 for bad in (2, -1, 0.3, float("nan"))]
         for table in tables:
             with pytest.raises(ValueError, match="bools or 0/1"):
@@ -81,7 +81,6 @@ class TestPhaseFunction:
         f = PhaseFunction(3, arr)
         arr[5] = True
         assert not f.marks.any()
-        assert mark_count(f) == 0
         with pytest.raises(ValueError):
             f.marks[5] = True
         with pytest.raises(ValueError):
@@ -227,11 +226,16 @@ class TestPhaseOracle:
 
 class TestMarkCount:
     def test_examples(self):
-        assert mark_count(PhaseFunction.constant(3, +1)) == 0
-        assert mark_count(PhaseFunction.constant(3, -1)) == 8
-        f = PhaseFunction.from_marks(2, [1, 2])
-        assert mark_count(f) == 2
-        assert (-1) ** mark_count(f) == +1
+        # the marked set and its packed bits count the same marks, whose
+        # parity is the parity of f
+        examples = [
+            (PhaseFunction.constant(3, +1), 0),
+            (PhaseFunction.constant(3, -1), 8),
+            (PhaseFunction.from_marks(2, [1, 2]), 2),
+        ]
+        for f, count in examples:
+            assert int(f.marks.sum()) == f.mark_bits.bit_count() == count
+            assert brute_parity(f) == (-1) ** count
 
 
 class TestShiftIndexSet:
@@ -263,8 +267,13 @@ class TestShiftIndexSet:
             ShiftSpec(0, +1)
 
     def test_bits_reconstruct_size(self):
+        # the compiled shift has one block of width n - k per set bit 2**k of m
+        n = 6
         for m in range(1, 33):
-            assert sum(1 << k for k in ShiftSpec(m, +1).bits) == m
+            factors = shift_unitary_compiled(ShiftSpec(m, +1), n).factors
+            widths = [fac.arg for fac in factors if fac.kind == "block"]
+            assert len(set(widths)) == len(widths)
+            assert sum(1 << (n - w) for w in widths) == m
 
 
 class TestShiftUnitary:

@@ -10,12 +10,11 @@ from spinparity import (
     SpinSystem,
     brute_parity,
     brute_spin_sums,
-    mark_count,
-    projected_call_counts,
     solve_parity,
 )
 from spinparity import protocol
 from spinparity.ensemble import pair_sequence
+from spinparity.verification import projected_call_counts
 
 from helpers import _exhaustive, function_from_mask, random_function
 
@@ -143,7 +142,7 @@ class TestTraceInvariants:
             f = random_function(n, rng)
             trace = solve_parity(SpinSystem(n), f)
             base = np.rint(trace.iterations[0].amplitudes).astype(int)
-            assert np.all(base % 2 == mark_count(f) % 2)
+            assert np.all(base % 2 == f.marks.sum() % 2)
 
     def test_mismatched_function_rejected(self):
         # the base run's engine call raises before any work
@@ -182,7 +181,7 @@ class TestSignalInvariant:
         # index used here is reached
         rng = np.random.default_rng(160)
         f = random_function(6, rng)
-        while mark_count(f) % 2 == 0:
+        while f.marks.sum() % 2 == 0:
             f = random_function(6, rng)
         system = SpinSystem(6)
         assert solve_parity(system, f, snr_mode=snr_mode).uo_calls == 6
