@@ -50,18 +50,15 @@ def parse_truth_table_text(text: str) -> PhaseFunction:
         raise TruthTableError(
             f"line 2, column {min(len(row), N) + 1}: expected exactly {N} entries, found {len(row)}"
         )
-    marks = [False] * N
-    for x, ch in enumerate(row):
-        if ch == "-":
-            marks[x] = True
-        elif ch != "+":
-            raise TruthTableError(
-                f"line 2, column {x + 1}: invalid character {ch!r} (expected '+' or '-')"
-            )
+    if row.strip("+-"):
+        x = next(x for x, ch in enumerate(row) if ch not in "+-")
+        raise TruthTableError(
+            f"line 2, column {x + 1}: invalid character {row[x]!r} (expected '+' or '-')"
+        )
     for i, extra in enumerate(lines[2:], start=3):
         if extra.strip():
             raise TruthTableError(f"line {i}: unexpected content {extra.strip()!r}")
-    return PhaseFunction(n, marks)
+    return PhaseFunction(n, [ch == "-" for ch in row])
 
 
 def parse_truth_table(path: str) -> PhaseFunction:

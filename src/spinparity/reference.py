@@ -1,9 +1,12 @@
 """Brute-force ground truth for everything the simulator reproduces.
 
-Every function here iterates over the full truth table with plain Python
-integer arithmetic, deliberately O(N * n), and shares no matrix code with
-the simulator: it computes its own bit signs and takes only the
-``PhaseFunction`` and ``ShiftSpec`` inputs from it.
+Every function here is a plain-Python scan over the full truth table
+(``f.marks.tolist()``) with integer arithmetic, deliberately O(N * n), and
+shares no matrix code with the simulator: it computes its own bit signs and
+takes only the ``PhaseFunction`` and ``ShiftSpec`` inputs from it.  The
+shifted readout builds the README's quarter-turn exponents
+``q_x = g(x) - [x in shift block]`` once and reads each spin's index pairs
+from them.
 """
 
 from __future__ import annotations
@@ -13,28 +16,27 @@ from dataclasses import dataclass
 from .oracles import PhaseFunction, ShiftSpec
 
 
-def _bit(s: int, k: int, n: int) -> int:
-    return (s >> (n - k)) & 1
+def _bit_sign_sums(indices, n: int) -> tuple:
+    """Per-spin signed counts of ``indices`` (a list or range): each index
+    counts +1 where the spin's bit is 0 and -1 where it is 1."""
+    return tuple(
+        len(indices) - 2 * sum((s >> (n - k)) & 1 for s in indices) for k in range(1, n + 1)
+    )
 
 
 def brute_parity(f: PhaseFunction) -> int:
     """Product of all truth-table values, by direct iteration."""
     p = 1
-    for x in range(f.dim):
-        p *= -1 if f.marks[x] else 1
+    for g in f.marks.tolist():
+        if g:
+            p = -p
     return p
 
 
 def brute_spin_sums(f: PhaseFunction) -> tuple:
     """Per-spin signed mark sums: marked indices count +1 where the spin's
     bit is 0 and -1 where it is 1.  Each lies in [-N/2, N/2]."""
-    n = f.n
-    sums = [0] * n
-    for s in range(f.dim):
-        if f.marks[s]:
-            for k in range(1, n + 1):
-                sums[k - 1] += 1 - 2 * _bit(s, k, n)
-    return tuple(sums)
+    return _bit_sign_sums([x for x, g in enumerate(f.marks.tolist()) if g], f.n)
 
 
 def brute_shift_index_set(spec: ShiftSpec, n: int) -> range:
@@ -47,11 +49,7 @@ def brute_shift_index_set(spec: ShiftSpec, n: int) -> range:
 
 def brute_shift_sums(spec: ShiftSpec, n: int) -> tuple:
     """Per-spin offsets of the canonical block; spin 1 gives sign * m."""
-    sums = [0] * n
-    for l in brute_shift_index_set(spec, n):
-        for k in range(1, n + 1):
-            sums[k - 1] += 1 - 2 * _bit(l, k, n)
-    return tuple(sums)
+    return _bit_sign_sums(brute_shift_index_set(spec, n), n)
 
 
 # Transverse projection of a quarter-turn phase ladder: a net phase step of
@@ -69,20 +67,21 @@ def brute_shifted_signal(f: PhaseFunction, spec: ShiftSpec = None) -> tuple:
     offsets except on pairs where a mark and a shift member saturate the
     phase (net +/-2 quarter turns), and always matches it modulo 2.
     """
-    n = f.n
-    members = set(brute_shift_index_set(spec, n)) if spec is not None else set()
+    n, dim = f.n, f.dim
+    q = [int(g) for g in f.marks.tolist()]
+    if spec is not None:
+        for x in brute_shift_index_set(spec, n):
+            q[x] -= 1
     out = []
     for k in range(1, n + 1):
         step = 1 << (n - k)
-        total = 0
-        for r in range(f.dim):
-            if _bit(r, k, n):
-                continue
-            c = r + step
-            q_r = int(f.marks[r]) - (1 if r in members else 0)
-            q_c = int(f.marks[c]) - (1 if c in members else 0)
-            total += _QUARTER_TURN_SINE[q_r - q_c]
-        out.append(total)
+        out.append(
+            sum(
+                _QUARTER_TURN_SINE[q[r] - q[r + step]]
+                for block in range(0, dim, 2 * step)
+                for r in range(block, block + step)
+            )
+        )
     return tuple(out)
 
 
@@ -106,7 +105,7 @@ class ReferenceReport:
 def reference_report(f: PhaseFunction, spec: ShiftSpec = None) -> ReferenceReport:
     return ReferenceReport(
         parity=brute_parity(f),
-        mark_total=int(sum(1 for x in range(f.dim) if f.marks[x])),
+        mark_total=sum(f.marks.tolist()),
         spin_sums=brute_spin_sums(f),
         shift_sums=brute_shift_sums(spec, f.n) if spec is not None else None,
     )

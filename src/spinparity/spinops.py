@@ -37,11 +37,6 @@ DEFAULT_QUBIT_CAP = 12
 _OP_COUNTS = {"diagonal": 0, "dense": 0}
 
 
-def reset_op_counts() -> None:
-    _OP_COUNTS["diagonal"] = 0
-    _OP_COUNTS["dense"] = 0
-
-
 def op_counts() -> dict:
     return dict(_OP_COUNTS)
 

@@ -24,7 +24,7 @@ from spinparity import (
     shift_unitary_direct,
     solve_parity,
 )
-from spinparity.spinops import op_counts, reset_op_counts
+from spinparity.spinops import op_counts
 from spinparity.verification import (
     oracle_conjugation_expansion,
     oracle_evolution_expansion,
@@ -260,7 +260,7 @@ def test_criterion_10_performance():
     run_sequence(system10, f10)
 
     # interleaved min-of-8 pairs to ride out shared-CPU noise
-    reset_op_counts()
+    before = op_counts()
     t9 = t10 = np.inf
     for _ in range(8):
         t0 = time.perf_counter()
@@ -269,7 +269,7 @@ def test_criterion_10_performance():
         t0 = time.perf_counter()
         run_sequence(system10, f10)
         t10 = min(t10, time.perf_counter() - t0)
-    dense = op_counts()["dense"]
+    dense = op_counts()["dense"] - before["dense"]
     ratio = t10 / t9
     ok = t10 < 5.0 and dense == 0 and 2.0 <= ratio <= 8.0
     _verdict(

@@ -38,11 +38,7 @@ MOVED = (
     "projected_call_counts",
 )
 # Production names that only the tests use, each with its reason.
-UNUSED_ALLOWED = {
-    # the per-call probe of ROADMAP item 3 replaces ``_OP_COUNTS`` and, with
-    # it, this reset, which the tests call between counted runs
-    "reset_op_counts",
-}
+UNUSED_ALLOWED = set()
 
 
 def _tree(module: str) -> ast.Module:

@@ -11,6 +11,7 @@ from spinparity import (
     brute_spin_sums,
     reference_report,
 )
+from spinparity.reference import brute_shift_index_set
 
 from helpers import random_function
 
@@ -68,6 +69,24 @@ class TestBruteShiftSums:
             m = int(rng.integers(1, (1 << (n - 1)) + 1))
             sign = int(rng.choice([-1, 1]))
             assert brute_shift_sums(ShiftSpec(m, sign), n)[0] == sign * m
+
+    def test_equals_spin_sums_of_the_block(self):
+        # both sums come from one helper: the block's offsets are the spin
+        # sums of the function that marks exactly the block
+        specs = [
+            (n, ShiftSpec(m, sign))
+            for n in range(1, 5)
+            for sign in (1, -1)
+            for m in range(1, (1 << (n - 1)) + 1)
+        ]
+        rng = np.random.default_rng(207)
+        for n in range(5, 13):
+            for _ in range(6):
+                m = int(rng.integers(1, (1 << (n - 1)) + 1))
+                specs.append((n, ShiftSpec(m, int(rng.choice([-1, 1])))))
+        for n, spec in specs:
+            block = PhaseFunction.from_marks(n, brute_shift_index_set(spec, n))
+            assert brute_shift_sums(spec, n) == brute_spin_sums(block)
 
     def test_spin1_spans_search_domain(self):
         n = 5
