@@ -1,7 +1,7 @@
 """Ensemble dynamics: initial deviation state, the hard y pulse, the two-stage
 purge filter, the readout rule, and the two engines that run the sequence.
 The closed-form conjugation and evolution expansions that cross-check the
-dense pipeline term by term live in ``verification``.
+dense pipeline term by term live in the tests' ``verification`` module.
 
 The sequence is: transverse initial state -> phase oracle at 90 degrees ->
 optional offset shift -> hard 90-degree y pulse on all spins -> gradient

@@ -9,8 +9,8 @@ phasing a contiguous block of indices chosen so that all members share the
 sign of spin 1's bit; it is built here directly, one selective shift per
 block member.  Its compiled form, a short product of nonselective block
 shifts conjugated by bit flips over the set bits of the shift size, lives in
-``verification`` with the selective, sign and block shifts, which only the
-tests use.
+the tests' ``verification`` module with the selective, sign and block shifts,
+which only the tests use.
 """
 
 from __future__ import annotations

@@ -27,7 +27,8 @@ Every run goes through the exact integer pair engine
 threshold in (0, unit) tells zero from nonzero; the dense
 ``ensemble.run_sequence`` is the reference it is tested against.  The
 worst-case call budget that criterion 7 checks,
-``verification.projected_call_counts``, is test-only and lives there.
+``projected_call_counts``, is test-only and lives in the tests'
+``verification`` module.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ the dense engine's worker threads (``_workers``) share out from n = 9 up
 diagonal unitary acts on a state vector held as its quarter-turn exponents
 mod 4, in two bit planes, by a bitwise mod-4 add, O(N/64) machine words.  The single-spin operators,
 basis projectors and scalar coherence order that tests build their targets
-from live in ``verification``.
+from live in the tests' ``verification`` module.
 """
 
 from __future__ import annotations

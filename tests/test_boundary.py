@@ -1,14 +1,13 @@
-"""The production modules never reach the test-only constructions.
+"""The installed package holds only production code.
 
-``spinparity.verification`` imports from the production modules and never
-the other way round, and each construction it holds is defined there alone.
-Neither the package nor its console script loads it.  Every name a
-production module defines is used by production code or by the benchmark.
+Every module under ``src/spinparity`` is a production module, and none of
+them imports the test-only ``verification`` module, which lives beside the
+tests and not in the package.  Every name a production module defines is
+used by production code or by the benchmark.
 """
 
 import ast
-import subprocess
-import sys
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -17,26 +16,7 @@ import spinparity
 
 SRC = Path(spinparity.__file__).resolve().parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-PRODUCTION = ("spinops", "oracles", "ensemble", "protocol", "cli", "reference", "_workers")
-MOVED = (
-    "_HALF_SIGMA",
-    "spin_operator",
-    "basis_projector",
-    "basis_projector_product",
-    "coherence_order",
-    "selective_phase_shift",
-    "sign_oracle",
-    "block_phase_shift",
-    "Factor",
-    "CompiledShift",
-    "shift_unitary_compiled",
-    "EXPANSION_QUBIT_CAP",
-    "selective_conjugation_expansion",
-    "oracle_conjugation_expansion",
-    "_phase_projector_expansion",
-    "oracle_evolution_expansion",
-    "projected_call_counts",
-)
+PRODUCTION = tuple(sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__"))
 # Production names that only the tests use, each with its reason.
 UNUSED_ALLOWED = set()
 
@@ -96,13 +76,8 @@ def test_production_module_does_not_import_verification(module):
             assert all("verification" not in a.name for a in node.names), f"{module}: imports verification"
 
 
-@pytest.mark.parametrize("module", PRODUCTION)
-def test_moved_names_not_defined_in_production_module(module):
-    assert not _defined(_tree(module)) & set(MOVED)
-
-
-def test_moved_names_defined_in_verification():
-    assert set(MOVED) <= _defined(_tree("verification"))
+def test_package_has_no_verification_module():
+    assert importlib.util.find_spec("spinparity.verification") is None
 
 
 def test_every_production_name_is_used():
@@ -125,11 +100,3 @@ def test_test_only_members_left_the_package():
     assert not hasattr(spinparity, "mark_count")
     assert not hasattr(spinparity, "projected_call_counts")
 
-
-def test_cli_import_does_not_load_verification():
-    # a fresh interpreter, since this one has loaded it for other tests
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import spinparity.cli; "
-        "sys.exit('spinparity.verification' in sys.modules)"
-    )
-    assert subprocess.run([sys.executable, "-c", code, str(SRC.parent)]).returncode == 0

@@ -8,22 +8,29 @@ from pathlib import Path
 
 import spinparity
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+TESTS = Path(__file__).resolve().parent
+README = (TESTS.parent / "README.md").read_text(encoding="utf-8")
 MODULES = {m.name for m in pkgutil.iter_modules(spinparity.__path__)}
+# the modules the tests import by bare name, such as ``verification``
+TEST_MODULES = {p.stem for p in TESTS.glob("*.py") if p.stem != "conftest" and not p.stem.startswith("test_")}
 
 
 def cited_names():
-    """Backticked dotted names whose first part is the package or one of its
-    modules, e.g. `ensemble.run_sequence` or `spinparity.cli.main`."""
+    """Backticked dotted names whose first part is the package, one of its
+    modules or one of the tests' modules, e.g. `ensemble.run_sequence`,
+    `spinparity.cli.main` or `verification.sign_oracle`."""
     names = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", README)
-    return sorted({x for x in names if x.split(".")[0] in MODULES | {"spinparity"}})
+    return sorted({x for x in names if x.split(".")[0] in MODULES | TEST_MODULES | {"spinparity"}})
 
 
 def resolves(dotted):
-    parts = dotted.removeprefix("spinparity.").split(".")
-    obj = importlib.import_module(f"spinparity.{parts[0]}")
+    module, *attrs = dotted.split(".")
+    if module not in TEST_MODULES:
+        module, *attrs = dotted.removeprefix("spinparity.").split(".")
+        module = f"spinparity.{module}"
+    obj = importlib.import_module(module)
     try:
-        for attr in parts[1:]:
+        for attr in attrs:
             obj = getattr(obj, attr)
     except AttributeError:
         return False

@@ -36,14 +36,6 @@ from spinparity import (
 )
 from spinparity import _workers, ensemble
 from spinparity.spinops import STRUCT_TOL
-from spinparity.verification import (
-    coherence_order,
-    oracle_conjugation_expansion,
-    oracle_evolution_expansion,
-    selective_conjugation_expansion,
-    selective_phase_shift,
-    spin_operator,
-)
 
 from helpers import (
     copy_state,
@@ -53,6 +45,14 @@ from helpers import (
     random_function,
     same_bytes,
     split_and_serial,
+)
+from verification import (
+    coherence_order,
+    oracle_conjugation_expansion,
+    oracle_evolution_expansion,
+    selective_conjugation_expansion,
+    selective_phase_shift,
+    spin_operator,
 )
 
 

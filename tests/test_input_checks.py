@@ -24,9 +24,9 @@ from spinparity import (
     solve_parity,
 )
 from spinparity.ensemble import apply_pulse, pair_sequence
-from spinparity.verification import shift_unitary_compiled
 
 from helpers import random_deviation_state
+from verification import shift_unitary_compiled
 
 
 class TestSpinCountBeforeAllocation:

@@ -18,15 +18,14 @@ from spinparity import (
 )
 from spinparity.reference import brute_shift_index_set
 from spinparity.spinops import STRUCT_TOL
-from spinparity.verification import (
-    basis_projector,
+
+from helpers import copy_state
+from verification import (
     block_phase_shift,
     selective_phase_shift,
     shift_unitary_compiled,
     sign_oracle,
 )
-
-from helpers import copy_state
 
 
 class TestPhaseFunction:
@@ -291,16 +290,6 @@ class TestShiftUnitary:
             product *= selective_phase_shift(n, l, -np.pi / 2).phases
         assert np.abs(shift_unitary_direct(spec, n).phases - product).max() < STRUCT_TOL
 
-    def test_commutes_with_phase_oracle(self):
-        rng = np.random.default_rng(31)
-        for _ in range(25):
-            n = int(rng.integers(1, 7))
-            f = PhaseFunction(n, rng.random(1 << n) < 0.5)
-            spec = ShiftSpec(int(rng.integers(1, (1 << (n - 1)) + 1)), int(rng.choice([-1, 1])))
-            um = shift_unitary_direct(spec, n)
-            uo = phase_oracle(f, float(rng.uniform(0, 2 * np.pi)))
-            assert np.abs(um.phases * uo.phases - uo.phases * um.phases).max() < STRUCT_TOL
-
 
 class TestBlockPhaseShift:
     def test_full_width_is_selective_on_zero(self):
@@ -347,20 +336,3 @@ class TestCompiledShift:
         kinds = [fac.kind for fac in comp.factors]
         assert kinds.count("block") == 3
         assert kinds.count("flip") == 2 and kinds.count("unflip") == 2
-
-
-class TestDiagonalCommutation:
-    def test_random_pairs_commute_exactly(self):
-        rng = np.random.default_rng(41)
-        for _ in range(30):
-            n = int(rng.integers(1, 6))
-            f = PhaseFunction(n, rng.random(1 << n) < 0.5)
-            builders = [
-                sign_oracle(f),
-                phase_oracle(f, float(rng.uniform(0, 2 * np.pi))),
-                selective_phase_shift(n, int(rng.integers(0, 1 << n)), float(rng.uniform(0, np.pi))),
-                block_phase_shift(n, int(rng.integers(1, n + 1)), float(rng.uniform(-np.pi, np.pi))),
-            ]
-            i, j = rng.integers(0, len(builders), size=2)
-            u, v = builders[int(i)], builders[int(j)]
-            assert np.abs(u.phases * v.phases - v.phases * u.phases).max() < STRUCT_TOL

@@ -14,9 +14,9 @@ from spinparity import (
 )
 from spinparity import protocol
 from spinparity.ensemble import pair_sequence
-from spinparity.verification import projected_call_counts
 
 from helpers import _exhaustive, function_from_mask, random_function
+from verification import projected_call_counts
 
 
 class TestDegenerateFunctions:

@@ -11,14 +11,14 @@ from spinparity import (
     conjugate,
 )
 from spinparity.spinops import STRUCT_TOL, apply_diagonal, op_counts
-from spinparity.verification import (
+
+from helpers import copy_state, random_complex_state, random_deviation_state, same_bytes, split_and_serial
+from verification import (
     basis_projector,
     basis_projector_product,
     coherence_order,
     spin_operator,
 )
-
-from helpers import copy_state, random_complex_state, random_deviation_state, same_bytes, split_and_serial
 
 
 class TestSpinSystem:

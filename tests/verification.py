@@ -7,9 +7,9 @@ operators, basis projectors, the scalar coherence order), the selective,
 sign and block phase shifts, the compiled offset-shift circuit with the
 set-bit list of the shift size it is built from (criterion 5), the
 closed-form conjugation and evolution expansions (criterion 4), and the
-projected worst-case oracle-call budget (criterion 7).  The package does
-not import it, so callers import these names from
-``spinparity.verification``.
+projected worst-case oracle-call budget (criterion 7).  It sits beside
+the tests, outside the installed package, and the test modules import it
+as ``verification``.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import initial_state
-from .oracles import PhaseFunction, ShiftSpec
-from .spinops import DeviationState, DiagonalUnitary, SpinSystem, bit_sign_table, integer_spin_count
+from spinparity.ensemble import initial_state
+from spinparity.oracles import PhaseFunction, ShiftSpec
+from spinparity.spinops import DeviationState, DiagonalUnitary, SpinSystem, bit_sign_table, integer_spin_count
 
 _HALF_SIGMA = {
     "x": 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
