@@ -1,9 +1,9 @@
 """Worker threads for the dense engine's independent chunks.
 
 Each dense stage does the same work on many independent pieces of the state:
-the pulse passes on row slabs and row blocks (``ensemble.apply_pulse``), the
-diagonal conjugation, the two purge filters and the readout's purity check on
-bands of consecutive rows.  ``run_split`` deals a stage's chunks out in
+the pulse passes on row slabs and on column chunks of row blocks
+(``ensemble.apply_pulse``), the diagonal conjugation, the two purge filters
+and the readout's purity check on bands of consecutive rows.  ``run_split`` deals a stage's chunks out in
 contiguous runs, one run per worker, and returns when every run is done.
 numpy releases the interpreter lock inside its matmul and ufunc loops, so the
 runs overlap.  Each chunk's result depends on that chunk's data alone, even
@@ -15,10 +15,11 @@ any worker count.
 (``taskset -c 0`` gives one), capped by the chunk count and by the buffer
 budget; the pulse splits only under a one-thread BLAS
 (``blas_single_threaded``).  So a stage splits from the size where it
-first has two chunks within the budget: n = 9 for the stages that work in
-bands of 2^16 elements, n = 10 for the pulse, whose buffers are 1/8 of the
-state at n = 9.  A split run was faster from n = 9 up on 2 CPUs
-(BENCH_dense_threads.json, per-n table).  One worker runs its one run
+first has two chunks within the budget: n = 9 for every stage, those that
+work in bands of 2^16 elements and the pulse, whose buffers are 1/16 of
+the state at n = 9 (1/4 at n = 8).  A split run was faster from n = 9 up
+on 2 CPUs (BENCH_dense_threads.json, per-n table), and so was a split
+n = 9 pulse (BENCH_pulse_memory.json).  One worker runs its one run
 inline in the caller, so that is the only path a small register takes; so
 does a caller that finds the workers busy with another caller's stage.
 
@@ -47,8 +48,8 @@ import numpy as np
 WORKER_BUFSIZE = 1024
 
 # The workers' buffers together take at most this share of the state's
-# 16 N^2 bytes; the pulse's buffers are 1/16 of the state each from n = 10
-# up, so a pulse takes at most 3 workers there.
+# 16 N^2 bytes; a pulse worker's buffer is 1/16 of the state at n = 9, so a
+# pulse takes at most 3 workers there, and 1/64 at n = 10 (12 workers).
 BUFFER_SHARE = 0.2
 
 

@@ -16,10 +16,11 @@ Two engines run it.  ``run_sequence`` is the dense reference: it builds the
 N x N density matrix once (``initial_state``), and every later stage
 (``spinops.conjugate``, ``apply_pulse`` and the two filters) transforms that
 state's array in place and returns the same state.  Each of those stages,
-and the readout's purity check, works on independent row slabs, blocks or
-bands of the state, which ``_workers.run_split`` deals out to worker threads
-on a process with more than one CPU, from n = 9 up (the pulse from n = 10,
-under a one-thread BLAS); the result is byte-identical to one worker's.
+and the readout's purity check, works on independent row slabs, column
+chunks of row blocks, or bands of the state, which ``_workers.run_split``
+deals out to worker threads on a process with more than one CPU, from n = 9
+up (the pulse under a one-thread BLAS only); the result is byte-identical
+to one worker's.
 ``pair_sequence`` is the one the solver uses: the purged state is a sum of
 single-spin longitudinal terms, so spin k's amplitude depends only on the
 oracle and shift phases over spin k's index pairs.  At 90 degrees those phases are
@@ -129,12 +130,16 @@ def initial_state(system: SpinSystem) -> DeviationState:
     return DeviationState(rho, validate=False)
 
 
-# Floats per step of either pulse pass: a step takes as many whole slabs
-# (pass 1) or blocks (pass 2) as fit, and at least one, so a small register
-# takes a few BLAS calls instead of one per slab.  From n = 10 up every step
-# is one slab or block; a worker's buffer is 0.13 of the state at n = 9 and
-# 0.06 from n = 10 up.
-_PULSE_STEP_FLOATS = 1 << 14
+# Floats per pass-1 step of the pulse, which is also each worker's one buffer:
+# a step takes as many whole slabs as fit, and at least one, so a small
+# register takes a few BLAS calls instead of one per slab.  The buffer is
+# the whole state up to n = 7 and 256 kB from there to n = 10, 1/16 of the
+# state at n = 9 and 1/64 at n = 10; from n = 10 up a step is one slab,
+# 1/128 of the state at n = 11 and 1/256 at n = 12.  Pass 2 fills the same
+# buffer with column chunks of its blocks, 2 a block at n = 9 and 4 at
+# n = 10; at half this size, 4 chunks a block made the n = 9 pulse slower
+# than whole blocks did (BENCH_pulse_memory.json).
+_PULSE_STEP_FLOATS = 1 << 15
 
 
 def _pulse_split(n: int) -> tuple:
@@ -174,18 +179,20 @@ def apply_pulse(state: DeviationState, angle: float) -> DeviationState:
 
     - pass 1 takes a slab of rows ``j, j + N/d, j + 2N/d, ...`` (``d`` the
       outer factor's size), applies the outer factor's row leg into a
-      buffer, then every column leg, the innermost one as a matmul against
-      ``kron(F^T, I_2)`` that writes the slab straight back;
+      buffer, then every column leg, back and forth between the buffer and
+      the slab, whose old contents the row leg has read: the innermost one,
+      a matmul against ``kron(F^T, I_2)``, ends in the slab;
     - pass 2 takes a block of ``N/d`` consecutive rows, which the inner
-      factors' row legs alone mix, and applies them, the second writing
-      straight back.
+      factors' row legs alone mix, and applies them into the buffer and
+      back.  A row leg acts on each column on its own, so a block goes
+      through in chunks of columns, as many as fill the buffer.
 
-    No leg is a complex matmul and no slab or block is copied back.  The
-    slabs of pass 1, and the blocks of pass 2, are independent, so under a
+    No leg is a complex matmul and nothing is copied back.  The slabs of
+    pass 1, and the column chunks of pass 2, are independent, so under a
     one-thread BLAS (``_workers.blas_single_threaded``) each pass is dealt
-    out to the workers of ``_workers.run_split``, each with its own buffer,
-    the larger of two slab steps and one block step, that serves both
-    passes (see ``_PULSE_STEP_FLOATS``).
+    out to the workers of ``_workers.run_split``, each with one buffer of
+    one pass-1 step, ``d t 2N`` floats for ``t`` slabs a step, that serves
+    both passes (see ``_PULSE_STEP_FLOATS``).
     """
     if not -2.0 * np.pi < angle < 2.0 * np.pi:
         raise ValueError(f"pulse angle {angle} outside (-2pi, 2pi)")
@@ -195,36 +202,39 @@ def apply_pulse(state: DeviationState, angle: float) -> DeviationState:
     rest = N // d
     g = state.rho.view(np.float64).reshape(d, rest, 2 * N)  # re and im side by side
     t = min(rest, max(1, _PULSE_STEP_FLOATS // (2 * N * d)))  # slabs per pass-1 step
-    u = min(d, max(1, _PULSE_STEP_FLOATS // (2 * N * rest)))  # blocks per pass-2 step
-    size = max(2 * d * t, u * rest) * 2 * N  # floats of one worker's buffer
-    chunks = min(rest // t, d // u) if len(factors) == 3 else rest // t
+    size = d * t * 2 * N  # floats of one worker's buffer: one pass-1 step
+    cols = min(2 * N, size // rest)  # columns per pass-2 step, of u blocks
+    u = size // (rest * cols)
+    per_block = 2 * N // cols
+    chunks = min(rest // t, d // u * per_block) if len(factors) == 3 else rest // t
     workers = worker_count(N, chunks if blas_single_threaded() else 1, 8 * size)
     bufs = np.empty((workers, size))
     w = len(last)
 
     def slabs(i, lo, hi):
-        buf = bufs[i, : 2 * d * t * 2 * N].reshape(2, d * t, 2 * N)
+        buf = bufs[i].reshape(d, t, 2 * N)
         for j in range(lo * t, hi * t, t):
             slab = g[:, j : j + t]
-            np.matmul(factors[0], slab.reshape(d, -1), out=buf[0].reshape(d, -1))
-            rows = d * t  # column legs of all but the innermost factor
-            for k, f in enumerate(factors[:-1]):
-                np.matmul(f, buf[k % 2].reshape(rows, len(f), -1), out=buf[1 - k % 2].reshape(rows, len(f), -1))
-                rows *= len(f)
-            np.matmul(buf[(len(factors) - 1) % 2].reshape(d, -1, w), last, out=slab.reshape(d, -1, w))
+            np.matmul(factors[0], slab.reshape(d, -1), out=buf.reshape(d, -1))
+            src, dst, rows = buf, slab, t  # column legs, back and forth
+            for f in factors[:-1]:
+                np.matmul(f, src.reshape(d, rows, len(f), -1), out=dst.reshape(d, rows, len(f), -1))
+                src, dst, rows = dst, src, rows * len(f)
+            np.matmul(src.reshape(d, -1, w), last, out=dst.reshape(d, -1, w))
 
     run_split(slabs, workers, rest // t)
     if len(factors) == 3:
         _, f2, f3 = factors
 
         def blocks(i, lo, hi):
-            tmp = bufs[i, : u * rest * 2 * N].reshape(u, rest, 2 * N)
-            for b in range(lo * u, hi * u, u):
-                block = g[b : b + u]
-                np.matmul(f2, block.reshape(u, len(f2), -1), out=tmp.reshape(u, len(f2), -1))
-                np.matmul(f3, tmp.reshape(u * len(f2), len(f3), -1), out=block.reshape(u * len(f2), len(f3), -1))
+            tmp = bufs[i].reshape(u, len(f2), len(f3), cols)
+            for k in range(lo, hi):
+                b, c = k // per_block * u, k % per_block * cols
+                part = g[b : b + u, :, c : c + cols].reshape(u, len(f2), len(f3), cols)
+                np.matmul(f2, part.transpose(0, 2, 1, 3), out=tmp.transpose(0, 2, 1, 3))
+                np.matmul(f3, tmp, out=part)
 
-        run_split(blocks, workers, d // u)
+        run_split(blocks, workers, d // u * per_block)
     return state
 
 

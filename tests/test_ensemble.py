@@ -92,6 +92,16 @@ def spinwise_pulse(rho, n, axis, angle):
     return rho
 
 
+def pulse_step_bytes(n):
+    """Bytes of one pass-1 step of the hard pulse on n spins, ``d t 2N``
+    floats for the outer factor's size ``d`` and ``t`` slabs a step: each
+    worker's one buffer, which serves both passes."""
+    N = 1 << n
+    d = 1 << ensemble._pulse_split(n)[0]
+    t = min(N // d, max(1, ensemble._PULSE_STEP_FLOATS // (2 * N * d)))
+    return 8 * d * t * 2 * N
+
+
 class TestInitialState:
     def test_single_spin_is_transverse_y(self):
         rho = initial_state(SpinSystem(1)).rho
@@ -182,8 +192,8 @@ class TestApplyPulse:
 
     def test_peak_allocation_is_one_state(self, monkeypatch):
         # the rotation works in place on the state's array; each worker's one
-        # buffer, two slab steps or one block step, is a fraction of it, and
-        # the buffer budget caps the workers: 3 of 8 CPUs from n = 10 up
+        # buffer, one pass-1 step, is a fraction of it, and the buffer budget
+        # caps the workers: 3 of 8 CPUs at n = 9, all 8 from n = 10 up
         monkeypatch.setattr(_workers, "_cpu_count", lambda: 8)
         for n in (9, 10, 11):
             state = initial_state(SpinSystem(n))
@@ -197,6 +207,23 @@ class TestApplyPulse:
             assert out is state
             assert peak <= 0.25 * out.rho.nbytes, (n, peak)
         assert len(_workers._workers) >= 3
+
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_pulse_buffer_is_one_slab_step_per_worker(self, monkeypatch, n):
+        # pass 2 runs its blocks in column chunks that fit the pass-1 step's
+        # buffer, so no worker holds a whole block (1 MB at n = 10)
+        monkeypatch.setattr(_workers, "_cpu_count", lambda: 8)
+        state = initial_state(SpinSystem(n))
+        apply_pulse(state, np.pi / 2)
+        tracemalloc.start()
+        try:
+            apply_pulse(state, np.pi / 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        workers = _workers.worker_count(state.dim, state.dim, pulse_step_bytes(n))
+        assert workers > 1
+        assert peak <= workers * pulse_step_bytes(n) + 64 * 1024, (n, workers, peak)
 
     def test_angle_outside_open_range_rejected(self):
         state = initial_state(SpinSystem(2))
@@ -640,7 +667,8 @@ class TestRunSequence:
     @pytest.mark.parametrize("n", [9, 10])
     def test_run_holds_one_state_array(self, n):
         # every stage transforms the initial state's array in place, so a
-        # warm run allocates one N x N complex array and small buffers
+        # warm run allocates one N x N complex array and small buffers, the
+        # largest the pulse's: one pass-1 step per worker
         rng = np.random.default_rng(78 + n)
         system = SpinSystem(n)
         f = random_function(n, rng)
@@ -652,16 +680,17 @@ class TestRunSequence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 16 * system.dim**2
+        workers = _workers.worker_count(system.dim, system.dim, pulse_step_bytes(n))
+        assert peak <= 16 * system.dim**2 + workers * pulse_step_bytes(n) + 64 * 1024, (workers, peak)
 
 
 class TestWorkerSplit:
-    """From n = 9 up (n = 10 for the pulse) the dense stages deal their
-    chunks out to worker threads; every result must be the one a single
-    worker gives, byte for byte, and no worker may keep a finished run's
-    state alive."""
+    """From n = 9 up the dense stages, the pulse included, deal their chunks
+    out to worker threads; every result must be the one a single worker
+    gives, byte for byte, and no worker may keep a finished run's state
+    alive."""
 
-    @pytest.mark.parametrize("n", [10, 11])
+    @pytest.mark.parametrize("n", [9, 10, 11])
     def test_pulse_is_byte_identical(self, monkeypatch, n):
         state = random_complex_state(n, np.random.default_rng(800 + n))
         split, serial = split_and_serial(monkeypatch, lambda: apply_pulse(copy_state(state), 1.234).rho)
@@ -688,7 +717,7 @@ class TestWorkerSplit:
             assert 0 < cancel.sum() < len(cancel)
 
     @pytest.mark.parametrize("sign", [None, +1, -1])
-    @pytest.mark.parametrize("n", [10, 11])
+    @pytest.mark.parametrize("n", [9, 10, 11])
     def test_runs_are_byte_identical(self, monkeypatch, n, sign):
         rng = np.random.default_rng(820 + n)
         system = SpinSystem(n, epsilon=tuple(rng.uniform(0.5, 2.0, n)))
