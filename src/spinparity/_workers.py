@@ -3,33 +3,34 @@
 Each dense stage does the same work on many independent pieces of the state:
 the pulse passes on row slabs and on column chunks of row blocks
 (``ensemble.apply_pulse``), the diagonal conjugation, the two purge filters
-and the readout's purity check on bands of consecutive rows.  ``run_split`` deals a stage's chunks out in
-contiguous runs, one run per worker, and returns when every run is done.
-numpy releases the interpreter lock inside its matmul and ufunc loops, so the
-runs overlap.  Each chunk's result depends on that chunk's data alone, even
-where the calls made for it depend on the data (the readout's exact-zero
-screen, ``ensemble._off_diagonal_max``): the result is byte-identical for
-any worker count.
+and the readout's purity check on bands of consecutive rows.  ``run_split``
+deals a stage's chunks out in contiguous runs, one per worker, and returns
+when every run is done.  numpy releases the interpreter lock inside its
+matmul and ufunc loops, so the runs overlap.  Each chunk's result depends on
+that chunk's data alone, even where the calls made for it depend on the data
+(the readout's exact-zero screen, ``ensemble._off_diagonal_max``): the
+result is byte-identical for any worker count.
 
 ``worker_count`` sets the count: the CPUs this process may run on
 (``taskset -c 0`` gives one), capped by the chunk count and by the buffer
 budget; the pulse splits only under a one-thread BLAS
-(``blas_single_threaded``).  So a stage splits from the size where it
-first has two chunks within the budget: n = 9 for every stage, those that
-work in bands of 2^16 elements and the pulse, whose buffers are 1/16 of
-the state at n = 9 (1/4 at n = 8).  A split run was faster from n = 9 up
-on 2 CPUs (BENCH_dense_threads.json, per-n table), and so was a split
-n = 9 pulse (BENCH_pulse_memory.json).  One worker runs its one run
-inline in the caller, so that is the only path a small register takes; so
-does a caller that finds the workers busy with another caller's stage.
+(``blas_single_threaded``).  So every stage splits from n = 9, where it
+first has two chunks within the budget: the banded stages work in bands of
+2^16 elements, and a pulse buffer is 1/16 of the state (1/4 at n = 8).  A
+split run was faster from n = 9 up on 2 CPUs (BENCH_dense_threads.json,
+per-n table), and so was a split n = 9 pulse (BENCH_pulse_memory.json).
+One worker runs its one run inline in the caller: a small register's path.
 
-The workers are daemon threads, started on the first stage that splits.
-Each binds itself to one CPU of the process's affinity mask, worker ``i`` to
-the ``i``-th: left to the kernel, a 2-vCPU VM woke both workers of a stage on
-one CPU, one after the other, and a split n = 10 run gained nothing
-(BENCH_dense_threads.json).  Between stages a worker blocks on a lock and
-holds no reference to the last stage's data.  A forked child drops the
-parent's workers and starts its own when it first splits.
+The workers are daemon threads, started on the first stage that splits,
+each with its own job queue: run ``i`` of every split goes to worker ``i``,
+which binds itself to the ``i``-th CPU of the process's affinity mask.  Left
+to the kernel, a 2-vCPU VM woke both workers of a stage on one CPU, one
+after the other, and a split n = 10 run gained nothing
+(BENCH_dense_threads.json).  Between runs a worker blocks on its queue and
+holds no reference to the last run's data.  Callers that split at once
+queue their runs behind each other's, and an interrupted caller's runs end
+on their own, ahead of the next split's.  A forked child drops the parent's
+workers and starts its own when it first splits.
 """
 
 from __future__ import annotations
@@ -94,38 +95,27 @@ def worker_count(dim: int, chunks: int, buffer_bytes: int = 0) -> int:
     return min(chunks, _cpu_count()) if chunks > 1 else 1
 
 
-class _Worker:
-    """One daemon thread that runs one job at a time, bound to ``cpu`` when
-    that is not None.  ``go`` and ``done`` are locks used as binary
-    semaphores: the caller sets ``job`` and releases ``go``, then acquires
-    ``done`` to wait for the job to end."""
-
-    def __init__(self, index: int, cpu):
-        self.go = threading.Lock()
-        self.done = threading.Lock()
-        self.go.acquire()
-        self.done.acquire()
-        self.job = None
-        self.error = None
-        self.cpu = cpu
-        threading.Thread(target=self._loop, name=f"spinparity-worker-{index}", daemon=True).start()
-
-    def _loop(self):
-        if self.cpu is not None:
-            try:
-                os.sched_setaffinity(threading.get_native_id(), {self.cpu})
-            except OSError:  # the CPU went away: run unbound
-                pass
-        while True:
-            self.go.acquire()
-            job, self.job = self.job, None
-            try:
-                job[0].run(_run_with_small_buffer, *job[1:])
-            except BaseException as exc:  # handed to the caller, which raises it
-                self.error = exc
-            # drop the job, and the state its closure reaches, before blocking
-            del job
-            self.done.release()
+def _work(jobs, cpu) -> None:
+    """A worker's loop: bound to ``cpu`` when that is not None, run each
+    ``(context, job, args, done)`` from ``jobs`` as ``job(*args)`` in
+    ``context`` and put None, or the exception it raised, on ``done``."""
+    if cpu is not None:
+        try:
+            os.sched_setaffinity(threading.get_native_id(), {cpu})
+        except OSError:  # the CPU went away: run unbound
+            pass
+    while True:
+        context, job, args, done = jobs.get()
+        try:
+            context.run(_run_with_small_buffer, job, *args)
+            error = None
+        except BaseException as exc:  # handed to the caller, which raises it
+            error = exc
+        # drop the run, and the state its closure reaches, before reporting,
+        # and the report, whose traceback may reach it too, after
+        del context, job, args
+        done.put(error)
+        del done, error
 
 
 def _run_with_small_buffer(job, *args):
@@ -135,65 +125,62 @@ def _run_with_small_buffer(job, *args):
     job(*args)
 
 
-_lock = threading.Lock()  # held by the one caller whose stage the workers run
-_workers: list = []
+_lock = threading.Lock()  # held while workers start
+_queues: list = []  # worker i's job queue
 
 
 def _reset_after_fork():
     """The child of a fork has none of the parent's threads: forget them."""
-    global _lock, _workers
+    global _lock, _queues
     _lock = threading.Lock()
-    _workers = []
+    _queues = []
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_after_fork)
 
 
+def _start(workers: int) -> None:
+    """Start workers until there are ``workers``, or no more threads can
+    start."""
+    # queue is imported here, not with the module: a process that never
+    # splits, as the solver's, keeps 0.25 MB of peak RSS (solve-n10)
+    from queue import SimpleQueue
+
+    with _lock:
+        cpus = _affinity()
+        while len(_queues) < workers:
+            i, jobs = len(_queues), SimpleQueue()
+            cpu = cpus[i % len(cpus)] if cpus else None
+            try:
+                threading.Thread(target=_work, args=(jobs, cpu), name=f"spinparity-worker-{i}", daemon=True).start()
+            except RuntimeError:  # no more threads to be had: use those there are
+                return
+            _queues.append(jobs)
+
+
 def run_split(job, workers: int, chunks: int) -> None:
     """Call ``job(i, lo, hi)`` for ``i`` in ``range(workers)``, where the
     ``[lo, hi)`` cover ``range(chunks)`` in contiguous runs, one per worker,
     and return when all are done.  ``i`` picks the worker's own buffer.  One
-    worker, workers busy with another caller's stage, or a process that can
-    start no thread, runs ``job(0, 0, chunks)`` inline.  Each run sees the caller's context
-    variables, among them numpy's error state from numpy 2 on.  An exception
-    raised in a run is raised here, after every run has ended."""
-    if workers == 1 or not _lock.acquire(blocking=False):
+    worker, or a process that can start no thread, runs ``job(0, 0, chunks)``
+    inline.  Each run sees the caller's context variables, among them
+    numpy's error state from numpy 2 on.  An exception raised in a run is
+    raised here, after every run has ended.  A run must not split again: it
+    would wait on its own worker's queue."""
+    if workers > 1 and len(_queues) < workers:
+        _start(workers)
+    queues = _queues[:workers]
+    if workers == 1 or not queues:
         job(0, 0, chunks)
         return
-    try:
-        cpus = _affinity()
-        while len(_workers) < workers:
-            i = len(_workers)
-            try:
-                _workers.append(_Worker(i, cpus[i % len(cpus)] if cpus else None))
-            except RuntimeError:  # no more threads to be had: use those there are
-                break
-        team = _workers[:workers]
-        if not team:
-            job(0, 0, chunks)
-            return
-        workers = len(team)
-        context = contextvars.copy_context()
-        try:
-            for i, w in enumerate(team):
-                w.job = (context.copy(), job, i, chunks * i // workers, chunks * (i + 1) // workers)
-                w.go.release()
-            del job, context
-            for w in team:
-                w.done.acquire()
-        except BaseException:
-            # interrupted (KeyboardInterrupt) with runs in flight: drop the
-            # jobs not yet taken, leave the runs to end on their own and
-            # start fresh workers for the next stage
-            for w in team:
-                w.job = None
-            _workers.clear()
-            raise
-        errors = [w.error for w in team if w.error is not None]
-        for w in team:
-            w.error = None
-    finally:
-        _lock.release()
+    from queue import SimpleQueue  # see _start
+
+    workers = len(queues)
+    context = contextvars.copy_context()
+    done = SimpleQueue()
+    for i, jobs in enumerate(queues):
+        jobs.put((context.copy(), job, (i, chunks * i // workers, chunks * (i + 1) // workers), done))
+    errors = [error for error in (done.get() for _ in queues) if error is not None]
     if errors:
         raise errors[0]

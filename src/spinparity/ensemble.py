@@ -16,11 +16,9 @@ Two engines run it.  ``run_sequence`` is the dense reference: it builds the
 N x N density matrix once (``initial_state``), and every later stage
 (``spinops.conjugate``, ``apply_pulse`` and the two filters) transforms that
 state's array in place and returns the same state.  Each of those stages,
-and the readout's purity check, works on independent row slabs, column
-chunks of row blocks, or bands of the state, which ``_workers.run_split``
-deals out to worker threads on a process with more than one CPU, from n = 9
-up (the pulse under a one-thread BLAS only); the result is byte-identical
-to one worker's.
+and the readout's purity check, works on independent pieces of the state,
+which ``_workers`` deals out to worker threads; its docstring says how and
+from which n.
 ``pair_sequence`` is the one the solver uses: the purged state is a sum of
 single-spin longitudinal terms, so spin k's amplitude depends only on the
 oracle and shift phases over spin k's index pairs.  At 90 degrees those phases are
@@ -101,32 +99,17 @@ class SignalVector:
         return sig
 
 
-@lru_cache(maxsize=None)
-def _pair_indices(n: int) -> tuple:
-    """Per spin k = 1..n, ``(r, r + 2^(n-k))``: the ``N/2`` indices ``r``
-    whose spin-k bit is 0 and their partners, as read-only ``int32`` arrays
-    (``n N`` entries in all)."""
-    x = np.arange(1 << n, dtype=np.int32)
-    pairs = []
-    for k in range(1, n + 1):
-        r = x[(x >> (n - k)) & 1 == 0]
-        c = r + (1 << (n - k))
-        r.setflags(write=False)
-        c.setflags(write=False)
-        pairs.append((r, c))
-    return tuple(pairs)
-
-
 def initial_state(system: SpinSystem) -> DeviationState:
     """Transverse starting state: the polarization-weighted sum of per-spin
-    y components, ``-i eps_k / 2`` at each index pair ``(r, c)`` of spin k
-    and ``+i eps_k / 2`` at ``(c, r)``.  Assembled directly from that
-    index-pair structure (cached per n), one assignment per triangle and
-    spin."""
-    rho = np.zeros((system.dim, system.dim), dtype=complex)
-    for (r, c), eps in zip(_pair_indices(system.n), system.epsilon):
-        rho.imag[c, r] = 0.5 * eps
-        rho.imag[r, c] = -0.5 * eps
+    y components, ``-i eps_k / 2`` at each index pair ``(r, c)`` of spin k,
+    ``c = r + 2^(n-k)``, and ``+i eps_k / 2`` at ``(c, r)``.  One assignment
+    a spin writes ``-i eps_k / 2`` times index ``x``'s spin-k sign in
+    ``bit_sign_table`` at ``[x, x ^ 2^(n-k)]``, for every ``x``."""
+    N = system.dim
+    rho = np.zeros((N, N), dtype=complex)
+    x = np.arange(N)
+    for k, (signs, eps) in enumerate(zip(bit_sign_table(system.n), system.epsilon), 1):
+        rho.imag[x, x ^ (N >> k)] = -0.5 * eps * signs
     return DeviationState(rho, validate=False)
 
 

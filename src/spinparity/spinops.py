@@ -6,13 +6,12 @@ basis state ``s`` assigns spin ``k`` the bit ``(s >> (n - k)) & 1``, with
 bit 0 corresponding to magnetic quantum number +1/2.  States are plain
 complex matrices; the only unitaries conjugated here are diagonal, stored as
 phase vectors so that conjugation stays O(N^2), band by band of rows, which
-the dense engine's worker threads (``_workers``) share out from n = 9 up,
-as they share out the hard pulse's slabs and column chunks on its own
-path, ``ensemble.apply_pulse``.  A quarter-turn diagonal unitary acts on a
-state vector held as its quarter-turn exponents mod 4, in two bit planes,
-by a bitwise mod-4 add, O(N/64) machine words.  The single-spin operators,
-basis projectors and scalar coherence order that tests build their targets
-from live in the tests' ``verification`` module.
+the dense engine's worker threads share out (see ``_workers``).  A
+quarter-turn diagonal unitary acts on a state vector held as its
+quarter-turn exponents mod 4, in two bit planes, by a bitwise mod-4 add,
+O(N/64) machine words.  The single-spin operators, basis projectors and
+scalar coherence order that tests build their targets from live in the
+tests' ``verification`` module.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import contextvars
 import functools
 import os
+import queue
 import signal
 import sys
 import threading
@@ -206,7 +207,7 @@ class TestApplyPulse:
                 tracemalloc.stop()
             assert out is state
             assert peak <= 0.25 * out.rho.nbytes, (n, peak)
-        assert len(_workers._workers) >= 3
+        assert len(_workers._queues) >= 3
 
     @pytest.mark.parametrize("n", [9, 10, 11])
     def test_pulse_buffer_is_one_slab_step_per_worker(self, monkeypatch, n):
@@ -748,7 +749,7 @@ class TestWorkerSplit:
     def test_finished_run_leaves_no_reference_to_its_state(self, monkeypatch):
         monkeypatch.setattr(_workers, "_cpu_count", lambda: 3)
         state = evolved_purged_state(SpinSystem(10), random_function(10, np.random.default_rng(830)))
-        assert len(_workers._workers) >= 3
+        assert len(_workers._queues) >= 3
         rho = weakref.ref(state.rho)
         del state
         assert rho() is None
@@ -768,27 +769,50 @@ class TestWorkerSplit:
         _workers.run_split(lambda i, lo, hi: runs.append((i, lo, hi)), 3, 7)
         assert sorted(runs) == [(0, 0, 2), (1, 2, 4), (2, 4, 7)]
 
-    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="no pthread_kill on this platform")
-    def test_interrupted_caller_starts_fresh_workers(self, monkeypatch):
-        monkeypatch.setattr(_workers, "_workers", [])
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+    def test_runs_overlap_on_bound_workers_with_the_small_buffer(self):
+        cpus = sorted(os.sched_getaffinity(0))
+        w = min(3, len(cpus))
+        if w < 2:
+            pytest.skip("one CPU in the affinity mask: nothing splits")
+        barrier = threading.Barrier(w, timeout=30)  # broken unless all w runs overlap
+        seen = {}
 
         def job(i, lo, hi):
-            if i == 1:
-                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-                time.sleep(0.5)  # the caller is still waiting when the signal lands
+            barrier.wait()
+            affinity = os.sched_getaffinity(threading.get_native_id())
+            seen[i] = (threading.current_thread().name, affinity, np.getbufsize())
 
-        with pytest.raises(KeyboardInterrupt):
-            _workers.run_split(job, 2, 2)
-        assert _workers._workers == []
+        _workers.run_split(job, w, w)
+        assert seen == {i: (f"spinparity-worker-{i}", {cpus[i]}, _workers.WORKER_BUFSIZE) for i in range(w)}
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="no pthread_kill on this platform")
+    def test_interrupted_caller_keeps_its_workers(self):
+        # an interrupted caller's runs end on their own and the next split
+        # queues behind them on the same workers: no thread is left behind
+        _workers.run_split(lambda i, lo, hi: None, 2, 2)  # both workers are running
+        threads = threading.active_count()
+        for _ in range(5):
+            caught = threading.Event()
+
+            def job(i, lo, hi, caught=caught):
+                if i == 1:
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                    caught.wait(timeout=30)  # held until the caller has been interrupted
+
+            with pytest.raises(KeyboardInterrupt):
+                _workers.run_split(job, 2, 2)
+            caught.set()
         runs = []
         _workers.run_split(lambda i, lo, hi: runs.append(i), 2, 2)
         assert sorted(runs) == [0, 1]
+        assert threading.active_count() == threads
 
     def test_no_thread_to_start_runs_inline(self, monkeypatch):
         def refuse(thread):
             raise RuntimeError("can't start new thread")
 
-        monkeypatch.setattr(_workers, "_workers", [])
+        monkeypatch.setattr(_workers, "_queues", [])
         monkeypatch.setattr(threading.Thread, "start", refuse)
         runs = []
         _workers.run_split(lambda i, lo, hi: runs.append((i, lo, hi, threading.get_ident())), 3, 5)
@@ -796,12 +820,17 @@ class TestWorkerSplit:
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
     def test_worker_whose_cpu_is_gone_runs_unbound(self):
-        worker = _workers._Worker(0, 4095)  # a CPU this machine does not have
+        jobs, done = queue.SimpleQueue(), queue.SimpleQueue()
+        # 4095: a CPU this machine does not have
+        threading.Thread(target=_workers._work, args=(jobs, 4095), daemon=True).start()
         runs = []
-        worker.job = (contextvars.copy_context(), lambda i, lo, hi: runs.append((i, lo, hi)), 0, 0, 1)
-        worker.go.release()
-        assert worker.done.acquire(timeout=30)
-        assert runs == [(0, 0, 1)] and worker.error is None
+
+        def job(i, lo, hi):
+            runs.append((i, lo, hi, os.sched_getaffinity(threading.get_native_id())))
+
+        jobs.put((contextvars.copy_context(), job, (0, 0, 1), done))
+        assert done.get(timeout=30) is None
+        assert runs == [(0, 0, 1, os.sched_getaffinity(0))]
 
     @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="thread-local error state")
     def test_runs_see_the_callers_error_state(self):
@@ -813,8 +842,8 @@ class TestWorkerSplit:
         assert np.getbufsize() == bufsize  # the runs' smaller buffer stays theirs
 
     def test_concurrent_callers_share_the_workers(self, monkeypatch):
-        # one caller's stages split while the others find the workers busy
-        # and run theirs inline; every run must still read the same
+        # the callers' stages split at once, each queueing its runs behind
+        # the others' on the same workers; every run must still read the same
         monkeypatch.setattr(_workers, "_cpu_count", lambda: 3)
         system = SpinSystem(10)
         fs = [random_function(10, np.random.default_rng(840 + i)) for i in range(4)]
@@ -844,7 +873,7 @@ class TestWorkerSplit:
         system = SpinSystem(10)
         f = random_function(10, np.random.default_rng(850))
         want = run_sequence(system, f)  # the parent's workers are running
-        assert len(_workers._workers) >= 3
+        assert len(_workers._queues) >= 3
         with warnings.catch_warnings():
             # Python 3.12 warns that forking a multi-threaded process may deadlock
             warnings.simplefilter("ignore", DeprecationWarning)
@@ -852,9 +881,9 @@ class TestWorkerSplit:
         if pid == 0:
             code = 1
             try:
-                fresh = not _workers._workers
+                fresh = not _workers._queues
                 same = run_sequence(system, f) == want
-                code = 0 if fresh and same and len(_workers._workers) == 3 else 1
+                code = 0 if fresh and same and len(_workers._queues) == 3 else 1
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 60
