@@ -27,11 +27,14 @@ powers of ``-i`` with exponents ``q``, and a pair ``(r, r + 2^(n-k))`` adds
 integer readout in O(nN), independent of the polarizations.  The engine
 holds ``q`` mod 4 as two N-bit bit planes and reads each spin as two
 popcounts over the planes and their ``2^(n-k)``-shifted copies.  Both
-engines end in ``_signal``, which builds each amplitude and zero flag once,
-under the zero rule ``_zero_flags`` that the public ``SignalVector``
-constructor checks.  The test suite checks the pair engine against the
-integer reference, which it agrees with exactly, and against the dense
-engine, which it agrees with to round-off.
+engines read in whole units of spin sum and end in ``_signal``, which builds
+each amplitude as a float and its zero flag once, at the one fixed floor
+``DEFAULT_THRESHOLD``, under the zero rule ``_zero_flags`` that the public
+``SignalVector`` constructor checks.  Neither takes a floor or a scale: the
+``2/N`` physical scale of the CLI's ``--snr`` is applied by
+``protocol.solve_parity`` alone.  The test suite checks the pair engine
+against the integer reference, which it agrees with exactly, and against the
+dense engine, which it agrees with to round-off.
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ from .spinops import (
     conjugate,
 )
 
-# Zero-detection floor of every readout when none is given: far below the
-# smallest unit, 2/N = 2^-11 at n = 12.
+# Zero floor of every readout.  Both engines read in whole units, so any floor
+# in (0, 1) tells zero from nonzero; this one sits far above the dense
+# engine's round-off and far below one unit.
 DEFAULT_THRESHOLD = 1e-9
 
 
@@ -68,9 +72,10 @@ class SignalVector:
     """Per-spin signed readout amplitudes with zero-detection flags.
 
     The constructor converts the amplitudes to floats and the flags to bools
-    and checks the flags against the zero rule.  The engines build theirs
-    through ``_signal``, which establishes the same invariant by construction
-    and so skips the second pass.
+    and checks the flags against the zero rule at the given threshold.  The
+    engines build theirs through ``_signal``, which establishes the same
+    invariant at ``DEFAULT_THRESHOLD`` by construction and so skips the
+    second pass.
     """
 
     amplitudes: tuple
@@ -86,17 +91,6 @@ class SignalVector:
             raise ValueError("zero flags inconsistent with threshold")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "zero_flags", flags)
-
-    @classmethod
-    def _from_readout(cls, amplitudes: tuple, zero_flags: tuple, threshold: float) -> "SignalVector":
-        """Wrap a readout without checking it.  The caller guarantees what
-        the constructor would check: a tuple of Python floats and the tuple
-        of bools ``_zero_flags`` gives for them at ``threshold``."""
-        sig = object.__new__(cls)
-        object.__setattr__(sig, "amplitudes", amplitudes)
-        object.__setattr__(sig, "zero_flags", zero_flags)
-        object.__setattr__(sig, "threshold", threshold)
-        return sig
 
 
 def initial_state(system: SpinSystem) -> DeviationState:
@@ -274,23 +268,17 @@ def zero_quantum_filter(state: DeviationState) -> DeviationState:
     return _cancel_off_diagonal(state, pc, zero)
 
 
-def signal_unit(N: int, snr_mode: bool) -> float:
-    """Magnitude of one whole amplitude unit: 1, or in SNR mode the ``2/N``
-    minimum nonzero signal."""
-    return 2.0 / N if snr_mode else 1.0
-
-
-def _signal(amps, N: int, threshold: float, snr_mode: bool) -> SignalVector:
-    """The readout of both engines: scale amplitudes in whole units (Python
-    ints or floats) by ``signal_unit`` and flag those below the threshold as
-    zero, building each float and flag once.  A nonzero amplitude is at least
-    one unit, so the threshold must lie strictly between 0 and the unit."""
-    unit = signal_unit(N, snr_mode)
-    if not 0.0 < threshold < unit:
-        raise ValueError(f"threshold must lie in (0, {unit:g}), got {threshold!r}")
-    threshold = float(threshold)  # a numpy threshold would give numpy flags
-    amps = tuple([a * unit for a in amps])
-    return SignalVector._from_readout(amps, _zero_flags(amps, threshold), threshold)
+def _signal(amps) -> SignalVector:
+    """The readout of both engines: turn amplitudes in whole units (Python
+    ints or floats) into floats and flag those below ``DEFAULT_THRESHOLD`` as
+    zero, building each float and flag once.  What the public constructor
+    would check holds by construction, so it is not run."""
+    amps = tuple(map(float, amps))
+    sig = object.__new__(SignalVector)
+    object.__setattr__(sig, "amplitudes", amps)
+    object.__setattr__(sig, "zero_flags", _zero_flags(amps, DEFAULT_THRESHOLD))
+    object.__setattr__(sig, "threshold", DEFAULT_THRESHOLD)
+    return sig
 
 
 def _off_diagonal_max(rho: np.ndarray) -> float:
@@ -331,19 +319,12 @@ def _off_diagonal_max(rho: np.ndarray) -> float:
     return maxima.max()
 
 
-def read_signal(
-    state: DeviationState,
-    system: SpinSystem,
-    threshold: float = DEFAULT_THRESHOLD,
-    snr_mode: bool = False,
-) -> SignalVector:
-    """Extract per-spin longitudinal amplitudes from a purged state.
+def read_signal(state: DeviationState, system: SpinSystem) -> SignalVector:
+    """Extract per-spin longitudinal amplitudes from a purged state, in whole
+    units of spin sum, each flagged zero below ``DEFAULT_THRESHOLD``.
 
     ``amplitude[k] = 2 Tr(rho I_kz) / epsilon_k``; for pipeline outputs this
-    is the integer signal the sequence encodes.  In SNR mode amplitudes are
-    rescaled by 2/N to the physically detectable magnitude and the given
-    threshold acts as the detection floor; it must lie in (0, unit), see
-    ``signal_unit``.
+    is the integer signal the sequence encodes, to round-off.
 
     The state must be purged: ``ValueError`` when the largest off-diagonal
     modulus (``_off_diagonal_max``) exceeds ``STRUCT_TOL`` or is NaN, with
@@ -360,7 +341,7 @@ def read_signal(
         )
     d = np.diag(state.rho).real
     amps = bit_sign_table(system.n) @ d / np.asarray(system.epsilon)
-    return _signal(amps.tolist(), system.dim, threshold, snr_mode)
+    return _signal(amps.tolist())
 
 
 def evolved_purged_state(system: SpinSystem, f: PhaseFunction, shift: ShiftSpec = None) -> DeviationState:
@@ -379,14 +360,9 @@ def evolved_purged_state(system: SpinSystem, f: PhaseFunction, shift: ShiftSpec 
     return rho
 
 
-def run_sequence(
-    system: SpinSystem,
-    f: PhaseFunction,
-    shift: ShiftSpec = None,
-    threshold: float = DEFAULT_THRESHOLD,
-    snr_mode: bool = False,
-) -> SignalVector:
-    """Full sequence: evolve, purge, and read the per-spin amplitudes.
+def run_sequence(system: SpinSystem, f: PhaseFunction, shift: ShiftSpec = None) -> SignalVector:
+    """Full sequence: evolve, purge, and read the per-spin amplitudes in
+    whole units (``read_signal``).
 
     Without a shift, ``amplitude[k]`` equals the signed mark sum of spin k
     exactly.  With a shift the amplitude picks up ``-offset[k]`` for every
@@ -397,7 +373,7 @@ def run_sequence(
     multiple of 2 but never changes parity.
     """
     state = evolved_purged_state(system, f, shift)
-    return read_signal(state, system, threshold=threshold, snr_mode=snr_mode)
+    return read_signal(state, system)
 
 
 @lru_cache(maxsize=None)
@@ -417,15 +393,9 @@ def _low_masks(n: int) -> tuple:
     return tuple(masks)
 
 
-def pair_sequence(
-    system: SpinSystem,
-    f: PhaseFunction,
-    shift: ShiftSpec = None,
-    threshold: float = DEFAULT_THRESHOLD,
-    snr_mode: bool = False,
-) -> SignalVector:
+def pair_sequence(system: SpinSystem, f: PhaseFunction, shift: ShiftSpec = None) -> SignalVector:
     """Same readout as ``run_sequence`` in O(nN), without the density matrix,
-    in exact integers.
+    in exact whole units.
 
     At 90 degrees every phase is a power of ``-i``, so the state is held as
     its quarter-turn exponents ``q`` mod 4, in two bit planes (see
@@ -441,7 +411,7 @@ def pair_sequence(
     """
     if f.n != system.n:
         raise ValueError(f"truth table is for n={f.n}, system has n={system.n}")
-    n, N = system.n, system.dim
+    n = system.n
     q = apply_diagonal((0, 0), f.mark_bits, +1)
     if shift is not None:
         block = shift.block(n)
@@ -453,4 +423,4 @@ def pair_sequence(
         odd = (q0 ^ (q0 >> step)) & low
         neg = (q1 ^ (p >> step)) & odd
         amps.append(odd.bit_count() - 2 * neg.bit_count())
-    return _signal(amps, N, threshold, snr_mode)
+    return _signal(amps)

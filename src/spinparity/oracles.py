@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spinops import DiagonalUnitary, check_spin_count
+from .spinops import DiagonalUnitary, _is_integer, check_spin_count
 
 
 def _is_sign(value) -> bool:
@@ -101,7 +101,7 @@ class PhaseFunction:
         N = 1 << n
         m = np.zeros(N, dtype=bool)
         for x in marked:
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < N:
+            if not _is_integer(x) or not 0 <= x < N:
                 raise IndexError(f"marked index {x!r} is not an integer in 0..{N - 1}")
             m[x] = True
         return cls(n, m)
@@ -139,7 +139,7 @@ class ShiftSpec:
     def __post_init__(self):
         if not _is_sign(self.sign):
             raise ValueError("sign must be +1 or -1")
-        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)) or self.m < 1:
+        if not _is_integer(self.m) or self.m < 1:
             raise ValueError(f"shift size must be a positive integer, got {self.m!r}")
         # a numpy size would carry int64 into the big-integer shift bitset
         object.__setattr__(self, "m", int(self.m))

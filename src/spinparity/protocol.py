@@ -23,19 +23,19 @@ plus M mod 2, because each index pair adds ``sin(pi/2 * dq)``, which is
 ``dq`` mod 2, and the shift takes M from spin 1's exponent sum.
 
 Every run goes through the exact integer pair engine
-``ensemble.pair_sequence``, whose amplitudes are whole units, so every
-threshold in (0, unit) tells zero from nonzero; the dense
-``ensemble.run_sequence`` is the reference it is tested against.  The
-worst-case call budget that criterion 7 checks,
-``projected_call_counts``, is test-only and lives in the tests'
-``verification`` module.
+``ensemble.pair_sequence``, whose amplitudes are whole units flagged zero at
+the one fixed floor ``ensemble.DEFAULT_THRESHOLD``; the dense
+``ensemble.run_sequence`` is the reference it is tested against.  Both
+engines read in whole units, so the amplitude unit is known here alone: the
+walk check reads them as they come, and in SNR mode ``solve_parity`` records
+them times ``2/N``, the minimum nonzero physical signal.  The worst-case
+call budget that criterion 7 checks, ``projected_call_counts``, is
+test-only and lives in the tests' ``verification`` module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .ensemble import DEFAULT_THRESHOLD, signal_unit
 
 # Bound under the dense engine's name: the benchmark's tracer wraps
 # ``protocol.run_sequence`` as the sequence run the solver reaches.
@@ -82,60 +82,63 @@ class RunTrace:
         return 2 * self.uo_calls
 
 
-def solve_parity(
-    system: SpinSystem,
-    f: PhaseFunction,
-    threshold: float = DEFAULT_THRESHOLD,
-    snr_mode: bool = False,
-) -> RunTrace:
+def solve_parity(system: SpinSystem, f: PhaseFunction, snr_mode: bool = False) -> RunTrace:
     """Determine the parity of ``f`` in at most ``n`` sequence runs.
 
-    In SNR mode amplitudes are recorded at their physically detectable scale
-    and ``threshold`` acts as the detection floor; branch decisions only use
-    signs and zero flags, so the control flow is unchanged.  Raises
-    ``SignalError`` when a probe's spin-1 amplitude breaks the parity walk.
+    In SNR mode the recorded amplitudes, and those the decisions print, are
+    the engine's whole units times ``2/N``, the physically detectable scale;
+    branch decisions only use signs and zero flags, so the control flow is
+    unchanged.  Raises ``SignalError`` when a probe's spin-1 amplitude breaks
+    the parity walk.
     """
     half = system.dim // 2
+    scale = 2.0 / system.dim
     records = []
 
-    sig = run_sequence(system, f, None, threshold, snr_mode)
+    def recorded(amps: tuple) -> tuple:
+        """The amplitudes a record holds: the engine's, or in SNR mode
+        those times ``2/N``."""
+        return tuple([a * scale for a in amps]) if snr_mode else amps
+
+    sig = run_sequence(system, f, None)
+    base_amps = recorded(sig.amplitudes)
     if any(sig.zero_flags):
         zeros = [k + 1 for k, z in enumerate(sig.zero_flags) if z]
         records.append(
-            IterationRecord(None, None, sig.amplitudes,
+            IterationRecord(None, None, base_amps,
                             f"zero signal on spin(s) {zeros}; mark count is even")
         )
         return RunTrace(tuple(records), +1, None)
 
     sign = +1 if sig.amplitudes[0] > 0 else -1
     records.append(
-        IterationRecord(None, None, sig.amplitudes,
+        IterationRecord(None, None, base_amps,
                         f"no zero signal; bracketing spin 1 with branch sign {sign:+d}")
     )
 
-    unit = signal_unit(system.dim, snr_mode)
-    base = round(sig.amplitudes[0] / unit)
+    base = round(sig.amplitudes[0])
     lo, hi = 0, half
     m_star = None
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        probe = run_sequence(system, f, ShiftSpec(mid, sign), threshold, snr_mode)
+        probe = run_sequence(system, f, ShiftSpec(mid, sign))
         a = probe.amplitudes[0]
-        if (round(a / unit) - base + mid) % 2:
+        amps = recorded(probe.amplitudes)
+        if (round(a) - base + mid) % 2:
             raise SignalError(
-                f"spin-1 amplitude {a:+.12g} at offset {mid} breaks the parity "
-                f"walk from base amplitude {sig.amplitudes[0]:+.12g}"
+                f"spin-1 amplitude {amps[0]:+.12g} at offset {mid} breaks the parity "
+                f"walk from base amplitude {base_amps[0]:+.12g}"
             )
         if probe.zero_flags[0]:
             m_star = mid
             decision = f"offset {mid} nulls the spin-1 signal"
         elif sign * a > 0:
             lo = mid
-            decision = f"spin-1 amplitude {a:+.12g}; zero above offset {mid}"
+            decision = f"spin-1 amplitude {amps[0]:+.12g}; zero above offset {mid}"
         else:
             hi = mid
-            decision = f"spin-1 amplitude {a:+.12g}; zero below offset {mid}"
-        records.append(IterationRecord(mid, sign, probe.amplitudes, decision))
+            decision = f"spin-1 amplitude {amps[0]:+.12g}; zero below offset {mid}"
+        records.append(IterationRecord(mid, sign, amps, decision))
         if m_star is not None:
             break
     if m_star is None:

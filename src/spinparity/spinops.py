@@ -41,11 +41,17 @@ def op_counts() -> dict:
     return dict(_OP_COUNTS)
 
 
+def _is_integer(x) -> bool:
+    """True for a Python or numpy integer; a bool is not one, though
+    True == 1.  The one integer rule of spin counts, marks and shift sizes."""
+    return not isinstance(x, bool) and isinstance(x, (int, np.integer))
+
+
 def integer_spin_count(n) -> int:
     """The spin count ``n`` as a Python int, so no ``1 << n`` wraps in int64;
     ``ValueError`` unless it is a non-bool integer.  The integer half of
     ``check_spin_count``, for counts that no state is built for."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+    if not _is_integer(n):
         raise ValueError(f"spin count must be an integer, got {n!r}")
     return int(n)
 

@@ -16,7 +16,7 @@ from spinparity import (
     read_signal,
 )
 from spinparity import _workers
-from spinparity.ensemble import DEFAULT_THRESHOLD, pair_sequence
+from spinparity.ensemble import pair_sequence
 
 
 def random_deviation_state(n: int, rng: np.random.Generator) -> DeviationState:
@@ -104,45 +104,27 @@ def _seeded(n):
         yield system, f, spec
 
 
-class Readout(NamedTuple):
-    snr_mode: bool
-    threshold: float
-    unit: float  # one unit of spin sum in this mode
-    pair: SignalVector
-    dense: SignalVector
-
-
 class EngineCase(NamedTuple):
     system: SpinSystem
     f: PhaseFunction
     spec: ShiftSpec
     exact: tuple  # brute_shifted_signal(f, spec)
-    readouts: tuple  # the first is what run_sequence reads by default
+    pair: SignalVector  # pair_sequence's readout
+    dense: SignalVector  # run_sequence's readout
 
-    def where(self, readout: Readout = None) -> str:
-        at = f"n={self.f.n} marks={np.flatnonzero(self.f.marks).tolist()} shift={self.spec}"
-        if readout is not None:
-            at += f" snr_mode={readout.snr_mode} threshold={readout.threshold!r}"
-        return at
+    def where(self) -> str:
+        return f"n={self.f.n} marks={np.flatnonzero(self.f.marks).tolist()} shift={self.spec}"
 
 
 @functools.lru_cache(maxsize=None)
 def engine_cases(n: int) -> tuple:
     """Every function and shift of an n-spin register for n <= 3, seeded ones
-    above, each run once through the dense sequence and read in both SNR
-    modes at the default floor and at half a unit given as a numpy float,
-    next to the pair engine's readout of the same case.  Cached per n, so the
+    above, each read once by each engine.  Cached per n, so the
     engine-agreement tests, each checking one property of these readouts,
     share one dense run per case."""
     cases = []
     for system, f, spec in _exhaustive(n) if n <= 3 else _seeded(n):
-        state = evolved_purged_state(system, f, spec)
-        readouts = []
-        for snr_mode in (False, True):
-            unit = 2.0 / system.dim if snr_mode else 1.0
-            for threshold in (DEFAULT_THRESHOLD, np.float64(0.5 * unit)):
-                pair = pair_sequence(system, f, spec, threshold, snr_mode)
-                dense = read_signal(state, system, threshold, snr_mode)
-                readouts.append(Readout(snr_mode, threshold, unit, pair, dense))
-        cases.append(EngineCase(system, f, spec, brute_shifted_signal(f, spec), tuple(readouts)))
+        dense = read_signal(evolved_purged_state(system, f, spec), system)
+        pair = pair_sequence(system, f, spec)
+        cases.append(EngineCase(system, f, spec, brute_shifted_signal(f, spec), pair, dense))
     return tuple(cases)

@@ -347,8 +347,9 @@ class TestMain:
         assert capsys.readouterr().err == f"error: spin count {n} outside 1..12\n"
 
     def test_usage_error_remapped(self, capsys):
-        # --epsilon and --threshold are library parameters only: the
-        # solver's amplitudes are exact, so neither could change a report
+        # no polarization or zero-floor flag: the solver's amplitudes are
+        # exact whole units, read at one fixed floor, so neither could
+        # change a report
         for extra in (["--format", "yaml"], ["--epsilon", "1"], ["--threshold", "1e-9"]):
             assert main(["--n", "3", "--function", "single:5"] + extra) == 1
             assert capsys.readouterr().out == ""

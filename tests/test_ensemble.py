@@ -322,24 +322,6 @@ class TestReadSignal:
         with pytest.raises(ValueError):
             read_signal(state, SpinSystem(2))
 
-    def test_rejects_negative_threshold(self):
-        # nonzero amplitudes are at least 1, or 2/N = 0.5 in SNR mode at n=2
-        bad = [(-1.0, False), (0.0, False), (float("nan"), False), (1.0, False),
-               (1.5, False), (0.0, True), (0.5, True), (1.0, True)]
-        for threshold, snr_mode in bad:
-            with pytest.raises(ValueError):
-                read_signal(DeviationState(np.zeros((4, 4))), SpinSystem(2),
-                            threshold=threshold, snr_mode=snr_mode)
-
-    def test_snr_mode_scales_by_two_over_dim(self):
-        n, N = 3, 8
-        system = SpinSystem(n)
-        rho = (2.0 / N) * 4 * spin_operator(n, 1, "z")
-        raw = read_signal(DeviationState(rho), system)
-        snr = read_signal(DeviationState(rho), system, threshold=1e-3, snr_mode=True)
-        assert raw.amplitudes[0] == pytest.approx(4.0, abs=1e-12)
-        assert snr.amplitudes[0] == pytest.approx(1.0, abs=1e-12)
-
     def test_purity_check_reaches_every_row_block(self):
         # at n = 9 the check runs in four blocks of 128 rows; each stray
         # element has real and imaginary parts below the tolerance and a
@@ -564,12 +546,11 @@ class TestRunSequence:
         assert sig.amplitudes == pytest.approx((0.0, 0.0), abs=1e-10)
 
     def test_base_amplitudes_equal_spin_sums_exhaustive(self):
-        # the dense runs of the shared engine-agreement pass, read as
-        # run_sequence reads them by default
+        # the dense runs of the shared engine-agreement pass
         for n in (1, 2, 3):
             for case in engine_cases(n):
                 if case.spec is None:
-                    sig = case.readouts[0].dense
+                    sig = case.dense
                     want = brute_spin_sums(case.f)
                     assert sig.amplitudes == pytest.approx(want, abs=1e-9), case.where()
 
@@ -595,7 +576,7 @@ class TestRunSequence:
     def test_shifted_amplitudes_exhaustive_small_registers(self, n):
         for case in engine_cases(n):
             if case.spec is not None:
-                sig = case.readouts[0].dense
+                sig = case.dense
                 assert sig.amplitudes == pytest.approx(
                     brute_shifted_signal(case.f, case.spec), abs=1e-9
                 ), case.where()

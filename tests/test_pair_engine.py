@@ -13,7 +13,6 @@ from spinparity import (
     SpinSystem,
     brute_parity,
     brute_shifted_signal,
-    run_sequence,
     solve_parity,
 )
 from spinparity import ensemble
@@ -25,32 +24,20 @@ from helpers import engine_cases
 TOL = 1e-12
 
 
-def _assert_engines_agree(system, f, spec, **kw):
-    fast = pair_sequence(system, f, spec, **kw)
-    dense = run_sequence(system, f, spec, **kw)
-    exact = brute_shifted_signal(f, spec)
-    scale = 2.0 / system.dim if kw.get("snr_mode") else 1.0
-    where = f"n={f.n} marks={np.flatnonzero(f.marks).tolist()} shift={spec}"
-    assert np.abs(np.subtract(fast.amplitudes, dense.amplitudes)).max() < TOL, where
-    assert np.abs(np.subtract(fast.amplitudes, np.multiply(exact, scale))).max() < TOL, where
-    assert fast.zero_flags == dense.zero_flags, where
-
-
-def _readouts(n, snr_mode=None):
-    """Each readout of the shared pass over n spins (of one SNR mode if
-    given), with its case and a label for failures."""
-    for case in engine_cases(n):
-        for r in case.readouts:
-            if snr_mode is None or r.snr_mode == snr_mode:
-                yield case, r, case.where(r)
+def _cases(n, shifted):
+    """The cases of the shared pass over n spins: the base runs, or the
+    shifted probes.  Every n has both."""
+    cases = [case for case in engine_cases(n) if (case.spec is not None) == shifted]
+    assert cases, f"n={n} shifted={shifted}"
+    return cases
 
 
 def _assert_readouts_agree(n):
-    for case, r, at in _readouts(n):
-        assert np.abs(np.subtract(r.pair.amplitudes, r.dense.amplitudes)).max() < TOL, at
-        want = np.multiply(case.exact, r.unit)
-        assert np.abs(np.subtract(r.pair.amplitudes, want)).max() < TOL, at
-        assert r.pair.zero_flags == r.dense.zero_flags, at
+    for case in engine_cases(n):
+        at = case.where()
+        assert np.abs(np.subtract(case.pair.amplitudes, case.dense.amplitudes)).max() < TOL, at
+        assert np.abs(np.subtract(case.pair.amplitudes, case.exact)).max() < TOL, at
+        assert case.pair.zero_flags == case.dense.zero_flags, at
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -63,14 +50,14 @@ def test_random_functions_shifts_and_polarizations(n):
     _assert_readouts_agree(n)
 
 
-@pytest.mark.parametrize("snr_mode", [False, True])
+@pytest.mark.parametrize("shifted", [False, True])
 @pytest.mark.parametrize("n", range(1, 11))
-def test_amplitudes_are_whole_units(n, snr_mode):
-    # exact integer multiples of the unit, so no amplitude sits strictly
-    # between a flagged zero and one unit for any threshold in (0, unit)
-    for _, r, at in _readouts(n, snr_mode):
-        for a in r.pair.amplitudes:
-            assert a == round(a / r.unit) * r.unit, at
+def test_amplitudes_are_whole_units(n, shifted):
+    # exact integers, so no amplitude sits strictly between a flagged zero
+    # and one unit, and the fixed floor tells every zero from every nonzero
+    for case in _cases(n, shifted):
+        for a in case.pair.amplitudes:
+            assert a == round(a), case.where()
 
 
 def _assert_built_like_public_constructor(sig, where):
@@ -81,25 +68,25 @@ def _assert_built_like_public_constructor(sig, where):
     assert sig == SignalVector(sig.amplitudes, sig.zero_flags, sig.threshold), where
 
 
-@pytest.mark.parametrize("snr_mode", [False, True])
+@pytest.mark.parametrize("shifted", [False, True])
 @pytest.mark.parametrize("n", range(1, 11))
-def test_pair_readout_passes_public_constructor(n, snr_mode):
-    for _, r, at in _readouts(n, snr_mode):
-        _assert_built_like_public_constructor(r.pair, at)
+def test_pair_readout_passes_public_constructor(n, shifted):
+    for case in _cases(n, shifted):
+        _assert_built_like_public_constructor(case.pair, case.where())
 
 
-@pytest.mark.parametrize("snr_mode", [False, True])
+@pytest.mark.parametrize("shifted", [False, True])
 @pytest.mark.parametrize("n", range(1, 11))
-def test_dense_readout_passes_public_constructor(n, snr_mode):
-    for _, r, at in _readouts(n, snr_mode):
-        _assert_built_like_public_constructor(r.dense, at)
+def test_dense_readout_passes_public_constructor(n, shifted):
+    for case in _cases(n, shifted):
+        _assert_built_like_public_constructor(case.dense, case.where())
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_equals_integer_reference_exactly(n):
-    for case, r, at in _readouts(n):
-        assert r.pair.amplitudes == tuple(a * r.unit for a in case.exact), at
-        assert r.pair.zero_flags == r.dense.zero_flags, at
+    for case in engine_cases(n):
+        assert case.pair.amplitudes == tuple(map(float, case.exact)), case.where()
+        assert case.pair.zero_flags == case.dense.zero_flags, case.where()
 
 
 def _large_cases(n):
@@ -169,23 +156,9 @@ def test_solver_builds_no_phase_vectors(monkeypatch):
         assert solve_parity(SpinSystem(10), f).parity == brute_parity(f)
 
 
-def test_snr_mode_agrees():
-    rng = np.random.default_rng(411)
-    for n in (2, 5, 7):
-        system = SpinSystem(n)
-        f = PhaseFunction(n, rng.random(1 << n) < 0.5)
-        spec = ShiftSpec(int(rng.integers(1, (1 << (n - 1)) + 1)), -1)
-        for s in (None, spec):
-            _assert_engines_agree(system, f, s, threshold=0.1 / system.dim, snr_mode=True)
-
-
-def test_rejects_bad_threshold_and_size_mismatch():
-    f = PhaseFunction.single(2, 1)
-    for threshold, snr_mode in [(0.0, False), (float("nan"), False), (1.0, False), (0.5, True)]:
-        with pytest.raises(ValueError):
-            pair_sequence(SpinSystem(2), f, threshold=threshold, snr_mode=snr_mode)
+def test_rejects_size_mismatch():
     with pytest.raises(ValueError):
-        pair_sequence(SpinSystem(3), f)
+        pair_sequence(SpinSystem(3), PhaseFunction.single(2, 1))
 
 
 def test_solver_op_counts_at_n10():

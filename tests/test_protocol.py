@@ -13,7 +13,7 @@ from spinparity import (
     solve_parity,
 )
 from spinparity import protocol
-from spinparity.ensemble import pair_sequence
+from spinparity.ensemble import DEFAULT_THRESHOLD, pair_sequence
 
 from helpers import _exhaustive, function_from_mask, random_function
 from verification import projected_call_counts
@@ -154,25 +154,41 @@ class TestTraceInvariants:
             RunTrace((), 0, None)  # parity must be +/-1
 
     def test_snr_mode_same_answers(self):
+        # protocol alone applies the 2/N scale: every recorded amplitude is
+        # the plain one times 2/N, bit for bit, and every decision is the
+        # plain one but for the amplitude it prints
         rng = np.random.default_rng(152)
-        for _ in range(20):
-            n = int(rng.integers(2, 6))
-            f = random_function(n, rng)
-            plain = solve_parity(SpinSystem(n), f)
-            scaled = solve_parity(SpinSystem(n), f, snr_mode=True)
-            assert plain.parity == scaled.parity
-            assert plain.m_star == scaled.m_star
+        for n in range(1, 11):
+            system, scale = SpinSystem(n), 2.0 / (1 << n)
+            fs = [PhaseFunction.constant(n, +1), PhaseFunction.constant(n, -1)]
+            base_only = walks = 0
+            for _ in range(500):
+                if base_only >= 3 and walks >= 3:
+                    break
+                f = random_function(n, rng)
+                odd = f.marks.sum() % 2 == 1
+                zero = 0 in brute_spin_sums(f)
+                if (odd and walks < 3) or (zero and base_only < 3):
+                    fs.append(f)
+                    walks, base_only = walks + odd, base_only + zero
+            assert walks >= 3 and base_only >= 3, n
+            for f in fs:
+                plain = solve_parity(system, f)
+                scaled = solve_parity(system, f, snr_mode=True)
+                where = f"n={n} marks={np.flatnonzero(f.marks).tolist()}"
+                assert (scaled.parity, scaled.m_star) == (plain.parity, plain.m_star), where
+                assert len(scaled.iterations) == len(plain.iterations), where
+                for p, s in zip(plain.iterations, scaled.iterations):
+                    assert (s.m, s.sign) == (p.m, p.sign), where
+                    want = [(a * scale).hex() for a in p.amplitudes]
+                    assert [a.hex() for a in s.amplitudes] == want, where
+                    printed = f"amplitude {p.amplitudes[0]:+.12g};"
+                    assert s.decision == p.decision.replace(
+                        printed, f"amplitude {s.amplitudes[0]:+.12g};"
+                    ), where
 
 
 class TestSignalInvariant:
-    def test_threshold_below_round_off_never_silently_wrong(self):
-        # amplitudes are exact, so a zero reads 0 and even a 1e-20 floor
-        # flags it: every function is answered, none raises
-        rng = np.random.default_rng(0)
-        for _ in range(300):
-            n = int(rng.integers(2, 7))
-            f = PhaseFunction(n, rng.random(1 << n) < 0.5)
-            assert solve_parity(SpinSystem(n), f, threshold=1e-20).parity == brute_parity(f)
 
     @pytest.mark.parametrize("snr_mode", [False, True])
     @pytest.mark.parametrize("bad_probe", [0, 1, 4])
@@ -186,18 +202,18 @@ class TestSignalInvariant:
         system = SpinSystem(6)
         assert solve_parity(system, f, snr_mode=snr_mode).uo_calls == 6
         real = protocol.run_sequence
-        unit = 2.0 / system.dim if snr_mode else 1.0
         probes = []
 
-        def one_unit_off(system, f, shift, threshold, snr_mode):
-            sig = real(system, f, shift, threshold, snr_mode)
+        def one_unit_off(system, f, shift):
+            sig = real(system, f, shift)
             if shift is None:
                 return sig
             probes.append(shift.m)
             if len(probes) - 1 != bad_probe:
                 return sig
-            amps = (sig.amplitudes[0] + unit,) + sig.amplitudes[1:]
-            return SignalVector(amps, tuple(abs(a) < threshold for a in amps), threshold)
+            amps = (sig.amplitudes[0] + 1.0,) + sig.amplitudes[1:]
+            flags = tuple(abs(a) < DEFAULT_THRESHOLD for a in amps)
+            return SignalVector(amps, flags, DEFAULT_THRESHOLD)
 
         monkeypatch.setattr(protocol, "run_sequence", one_unit_off)
         with pytest.raises(SignalError, match="parity walk"):
