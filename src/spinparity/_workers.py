@@ -3,13 +3,14 @@
 Each dense stage does the same work on many independent pieces of the state:
 the pulse passes on row slabs and on column chunks of row blocks
 (``ensemble.apply_pulse``), the diagonal conjugation, the two purge filters
-and the readout's purity check on bands of consecutive rows.  ``run_split``
-deals a stage's chunks out in contiguous runs, one per worker, and returns
-when every run is done.  numpy releases the interpreter lock inside its
-matmul and ufunc loops, so the runs overlap.  Each chunk's result depends on
-that chunk's data alone, even where the calls made for it depend on the data
-(the readout's exact-zero screen, ``ensemble._off_diagonal_max``): the
-result is byte-identical for any worker count.
+and the readout's purity check on bands of consecutive rows, ``band_rows``
+high at any worker count.  ``run_split`` deals a stage's chunks out in
+contiguous runs, one per worker, and returns when every run is done.  numpy
+releases the interpreter lock inside its matmul and ufunc loops, so the runs
+overlap.  Each chunk's result depends on that chunk's data alone, even where
+the calls made for it depend on the data (the readout's exact-zero screen,
+``ensemble._off_diagonal_max``): the result is byte-identical for any worker
+count.
 
 ``worker_count`` sets the count: the CPUs this process may run on
 (``taskset -c 0`` gives one), capped by the chunk count and by the buffer

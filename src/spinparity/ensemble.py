@@ -112,28 +112,28 @@ def initial_state(system: SpinSystem) -> DeviationState:
 # register takes a few BLAS calls instead of one per slab.  The buffer is
 # the whole state up to n = 7 and 256 kB from there to n = 10, 1/16 of the
 # state at n = 9 and 1/64 at n = 10; from n = 10 up a step is one slab,
-# 1/128 of the state at n = 11 and 1/256 at n = 12.  Pass 2 fills the same
-# buffer with column chunks of its blocks, 2 a block at n = 9 and 4 at
-# n = 10; at half this size, 4 chunks a block made the n = 9 pulse slower
+# 1/128 of the state at n = 11 and 1/256 at n = 12.  A pass-2 step fills
+# the same buffer with a column chunk of one block, 2 chunks a block at
+# n = 9 and 4 at n = 10, or up to n = 8 fills part of it with a whole
+# block; at half this size, 4 chunks a block made the n = 9 pulse slower
 # than whole blocks did (BENCH_pulse_memory.json).
 _PULSE_STEP_FLOATS = 1 << 15
 
 
 def _pulse_split(n: int) -> tuple:
-    """Spins per Kronecker factor of the hard pulse, highest spins first: one
-    factor up to 4 spins, else three as equal as possible, larger first (at
-    most 4 spins each up to n = 12)."""
-    if n <= 4:
-        return (n,)
+    """Spins per Kronecker factor of the hard pulse, highest spins first:
+    three as equal as possible, larger first, at most 4 spins each up to
+    n = 12.  A factor of no spin is the 1 x 1 identity: ``(1, 1, 0)`` at
+    n = 2."""
     return tuple(n // 3 + (i < n % 3) for i in range(3))
 
 
 @lru_cache(maxsize=16)
 def _pulse_factors(n: int, angle: float) -> tuple:
-    """The factors ``R^(x)k`` of the hard pulse for ``_pulse_split(n)``, with
-    ``R = [[c, -s], [s, c]]`` the real y rotation, then ``kron(F^T, I_2)`` for
-    the innermost factor ``F``: its column legs on the state's float view.
-    Read-only arrays, cached per ``(n, angle)``."""
+    """The three factors ``R^(x)k`` of the hard pulse for ``_pulse_split(n)``,
+    with ``R = [[c, -s], [s, c]]`` the real y rotation, then
+    ``kron(F^T, I_2)`` for the innermost factor ``F``: its column legs on the
+    state's float view.  Read-only arrays, cached per ``(n, angle)``."""
     c, s = np.cos(0.5 * angle), np.sin(0.5 * angle)
     r = np.array([[c, -s], [s, c]])
     factors = [reduce(np.kron, [r] * k, np.eye(1)) for k in _pulse_split(n)]
@@ -147,22 +147,22 @@ def apply_pulse(state: DeviationState, angle: float) -> DeviationState:
     """Conjugate the state in place by the hard y pulse
     ``exp(-i * angle * sum_k I_ky)`` on every spin and return it.
 
-    The rotation ``R^(x)n`` is the Kronecker product of the factors of
-    ``_pulse_split(n)``: one of up to 4 spins, or three of at most 4 spins
-    each up to n = 12, so each leg costs ``N^2`` times the factor's size
-    (cached per ``(n, angle)``).  ``R`` is real, so every leg runs as a
-    float64 matmul on the state's float view, with the real and imaginary
-    parts side by side.  Two passes do the legs:
+    The rotation ``R^(x)n`` is the Kronecker product of the three factors of
+    ``_pulse_split(n)``, of at most 4 spins each up to n = 12, so each leg
+    costs ``N^2`` times the factor's size (cached per ``(n, angle)``).  ``R``
+    is real, so every leg runs as a float64 matmul on the state's float
+    view, with the real and imaginary parts side by side.  Two passes do the
+    legs:
 
     - pass 1 takes a slab of rows ``j, j + N/d, j + 2N/d, ...`` (``d`` the
       outer factor's size), applies the outer factor's row leg into a
-      buffer, then every column leg, back and forth between the buffer and
-      the slab, whose old contents the row leg has read: the innermost one,
-      a matmul against ``kron(F^T, I_2)``, ends in the slab;
+      buffer, then the three column legs, back and forth between the buffer
+      and the slab, whose old contents the row leg has read: the innermost
+      one, a matmul against ``kron(F^T, I_2)``, ends in the slab;
     - pass 2 takes a block of ``N/d`` consecutive rows, which the inner
       factors' row legs alone mix, and applies them into the buffer and
-      back.  A row leg acts on each column on its own, so a block goes
-      through in chunks of columns, as many as fill the buffer.
+      back.  A row leg acts on each column on its own, so each step takes
+      one chunk of a block's columns, as many as fit the buffer.
 
     No leg is a complex matmul and nothing is copied back.  The slabs of
     pass 1, and the column chunks of pass 2, are independent, so under a
@@ -174,44 +174,37 @@ def apply_pulse(state: DeviationState, angle: float) -> DeviationState:
     if not -2.0 * np.pi < angle < 2.0 * np.pi:
         raise ValueError(f"pulse angle {angle} outside (-2pi, 2pi)")
     N = state.dim
-    *factors, last = _pulse_factors(N.bit_length() - 1, angle)
-    d = len(factors[0])
+    f1, f2, f3, last = _pulse_factors(N.bit_length() - 1, angle)
+    d, w = len(f1), len(last)
     rest = N // d
     g = state.rho.view(np.float64).reshape(d, rest, 2 * N)  # re and im side by side
     t = min(rest, max(1, _PULSE_STEP_FLOATS // (2 * N * d)))  # slabs per pass-1 step
     size = d * t * 2 * N  # floats of one worker's buffer: one pass-1 step
-    cols = min(2 * N, size // rest)  # columns per pass-2 step, of u blocks
-    u = size // (rest * cols)
+    cols = min(2 * N, size // rest)  # columns per pass-2 step, of one block
     per_block = 2 * N // cols
-    chunks = min(rest // t, d // u * per_block) if len(factors) == 3 else rest // t
-    workers = worker_count(N, chunks if blas_single_threaded() else 1, 8 * size)
+    # pass 1's chunk count, which pass 2's equals wherever the pulse splits
+    workers = worker_count(N, rest // t if blas_single_threaded() else 1, 8 * size)
     bufs = np.empty((workers, size))
-    w = len(last)
 
     def slabs(i, lo, hi):
         buf = bufs[i].reshape(d, t, 2 * N)
         for j in range(lo * t, hi * t, t):
             slab = g[:, j : j + t]
-            np.matmul(factors[0], slab.reshape(d, -1), out=buf.reshape(d, -1))
-            src, dst, rows = buf, slab, t  # column legs, back and forth
-            for f in factors[:-1]:
-                np.matmul(f, src.reshape(d, rows, len(f), -1), out=dst.reshape(d, rows, len(f), -1))
-                src, dst, rows = dst, src, rows * len(f)
-            np.matmul(src.reshape(d, -1, w), last, out=dst.reshape(d, -1, w))
+            np.matmul(f1, slab.reshape(d, -1), out=buf.reshape(d, -1))
+            np.matmul(f1, buf.reshape(d, t, d, -1), out=slab.reshape(d, t, d, -1))
+            np.matmul(f2, slab.reshape(d, t * d, len(f2), -1), out=buf.reshape(d, t * d, len(f2), -1))
+            np.matmul(buf.reshape(d, -1, w), last, out=slab.reshape(d, -1, w))
+
+    def blocks(i, lo, hi):
+        tmp = bufs[i, : rest * cols].reshape(len(f2), len(f3), cols)
+        for k in range(lo, hi):
+            b, c = divmod(k, per_block)
+            part = g[b, :, c * cols : (c + 1) * cols].reshape(len(f2), len(f3), cols)
+            np.matmul(f2, part.transpose(1, 0, 2), out=tmp.transpose(1, 0, 2))
+            np.matmul(f3, tmp, out=part)
 
     run_split(slabs, workers, rest // t)
-    if len(factors) == 3:
-        _, f2, f3 = factors
-
-        def blocks(i, lo, hi):
-            tmp = bufs[i].reshape(u, len(f2), len(f3), cols)
-            for k in range(lo, hi):
-                b, c = k // per_block * u, k % per_block * cols
-                part = g[b : b + u, :, c : c + cols].reshape(u, len(f2), len(f3), cols)
-                np.matmul(f2, part.transpose(0, 2, 1, 3), out=tmp.transpose(0, 2, 1, 3))
-                np.matmul(f3, tmp, out=part)
-
-        run_split(blocks, workers, d // u * per_block)
+    run_split(blocks, workers, d * per_block)
     return state
 
 
@@ -290,13 +283,14 @@ def _off_diagonal_max(rho: np.ndarray) -> float:
     off-diagonal element is +0.0 and the band's max is 0.0, which is what
     the exact path gives.  Any other band, one with a -0.0, a NaN or any
     stray value, takes the exact path: ``np.abs`` into a buffer, the
-    diagonal zeroed, then the max.  A worker allocates its buffer at its
-    first such band; the workers' buffers add up to one band's worth, each
-    taking bands a power of 2 times shorter."""
+    diagonal zeroed, then the max.  The bands are ``band_rows(N)`` high, as
+    the purge filters' are, and a worker allocates its one band of buffer
+    at its first such band."""
     N = len(rho)
     h = band_rows(N)
+    # the buffer stays out of the budget: it is made only for a band that
+    # fails the screen, and counted it would hold n = 9 to one worker
     workers = worker_count(N, N // h)
-    h = max(1, h >> (workers - 1).bit_length())  # at most h rows of buffer in all
     pairs = rho.view(np.uint64).reshape(N, N, 2)  # each element's real and imaginary words
     maxima = np.empty(N // h)
 

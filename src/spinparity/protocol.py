@@ -118,7 +118,6 @@ def solve_parity(system: SpinSystem, f: PhaseFunction, snr_mode: bool = False) -
 
     base = round(sig.amplitudes[0])
     lo, hi = 0, half
-    m_star = None
     while hi - lo > 1:
         mid = (lo + hi) // 2
         probe = run_sequence(system, f, ShiftSpec(mid, sign))
@@ -130,7 +129,7 @@ def solve_parity(system: SpinSystem, f: PhaseFunction, snr_mode: bool = False) -
                 f"walk from base amplitude {base_amps[0]:+.12g}"
             )
         if probe.zero_flags[0]:
-            m_star = mid
+            hi = mid
             decision = f"offset {mid} nulls the spin-1 signal"
         elif sign * a > 0:
             lo = mid
@@ -139,11 +138,11 @@ def solve_parity(system: SpinSystem, f: PhaseFunction, snr_mode: bool = False) -
             hi = mid
             decision = f"spin-1 amplitude {amps[0]:+.12g}; zero below offset {mid}"
         records.append(IterationRecord(mid, sign, amps, decision))
-        if m_star is not None:
+        if probe.zero_flags[0]:
             break
-    if m_star is None:
-        # Bracket of width one: the walk moves by one per unit offset, so a
-        # nonzero left edge and the crossing guarantee force the zero at hi.
-        m_star = hi
+    # The zero is at hi: a zero probe put it there, or the bracket has width
+    # one, where the walk moves by one per unit offset, so a nonzero left
+    # edge and the crossing guarantee force the zero at hi.
+    m_star = hi
     parity = +1 if m_star % 2 == 0 else -1
     return RunTrace(tuple(records), parity, m_star)

@@ -157,11 +157,21 @@ class TestApplyPulse:
             r = dense_pulse_matrix(n, axis, angle)
             assert np.abs(fast - r @ state.rho @ r.conj().T).max() < 1e-11
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_split_is_three_factors_of_at_most_four_spins(self, n):
+        # every n runs three factors, a zero-spin one the 1 x 1 identity
+        split = ensemble._pulse_split(n)
+        assert len(split) == 3
+        assert sum(split) == n
+        assert list(split) == sorted(split, reverse=True)
+        assert max(split) <= 4
+
     @pytest.mark.parametrize("axis", ["y"])
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_dense_exponential_for_every_factor_split(self, axis, n):
-        # n = 1..4 run as one factor; n = 5..7 as three, (2, 2, 1),
-        # (2, 2, 2) and (3, 2, 2) spins from the high end
+        # three factors at every n, spins from the high end: n = 1..4 as
+        # (1, 0, 0), (1, 1, 0), (1, 1, 1) and (2, 1, 1); n = 5..7 as
+        # (2, 2, 1), (2, 2, 2) and (3, 2, 2)
         rng = np.random.default_rng(100 + n)
         state = random_deviation_state(n, rng)
         angle = float(rng.uniform(-np.pi, np.pi))
@@ -172,9 +182,9 @@ class TestApplyPulse:
     @pytest.mark.parametrize("axis", ["y"])
     @pytest.mark.parametrize("n", range(1, 12))
     def test_matches_spinwise_rotation_past_expm_range(self, axis, n):
-        # every split the pulse uses up to n = 11, one per n: one factor up
-        # to n = 4, then three, up to (4, 4, 3) spins; from n = 8 on, past
-        # the dense exponential's range, this is the only reference
+        # every split the pulse uses up to n = 11, one per n: three factors
+        # from (1, 0, 0) spins up to (4, 4, 3); from n = 8 on, past the
+        # dense exponential's range, this is the only reference
         rng = np.random.default_rng(200 + n)
         state = random_deviation_state(n, rng)
         angle = float(rng.uniform(-np.pi, np.pi))
@@ -370,7 +380,7 @@ class TestReadSignal:
         for r, c in stray_sites(n):
             for value in (3e-12, 3e-12j):
                 rho = state.rho.copy()
-                h = _workers.band_rows(len(rho))  # the tallest band; a split band lies in one
+                h = _workers.band_rows(len(rho))  # the screen's band height at any worker count
                 rho[range(r - r % h, r - r % h + h), range(r - r % h, r - r % h + h)] = 0.0
                 rho[r, c] = value
                 with pytest.raises(ValueError, match=r"off-diagonal max 3\.000e-12$"):
