@@ -7,22 +7,22 @@ the parity of the function in at most n sequence runs.
 """
 
 from .ensemble import (
-    SignalVector,
+    DeviationState,
+    DiagonalUnitary,
     apply_pulse,
+    bit_sign_table,
+    conjugate,
     evolved_purged_state,
     gradient_filter,
     initial_state,
+    phase_oracle,
     read_signal,
     run_sequence,
+    shift_unitary_direct,
     zero_quantum_filter,
 )
-from .oracles import (
-    PhaseFunction,
-    ShiftSpec,
-    phase_oracle,
-    shift_unitary_direct,
-)
-from .protocol import IterationRecord, RunTrace, SignalError, solve_parity
+from .oracles import PhaseFunction, ShiftSpec
+from .protocol import IterationRecord, RunTrace, SignalError, SignalVector, solve_parity
 from .reference import (
     ReferenceReport,
     brute_parity,
@@ -31,12 +31,6 @@ from .reference import (
     brute_spin_sums,
     reference_report,
 )
-from .spinops import (
-    DeviationState,
-    DiagonalUnitary,
-    SpinSystem,
-    bit_sign_table,
-    conjugate,
-)
+from .spinops import SpinSystem
 
 __version__ = "0.1.0"

@@ -1,7 +1,12 @@
-"""Ensemble dynamics: initial deviation state, the hard y pulse, the two-stage
-purge filter, the readout rule, and the two engines that run the sequence.
-The closed-form conjugation and evolution expansions that cross-check the
-dense pipeline term by term live in the tests' ``verification`` module.
+"""The dense reference engine: the N x N deviation state and the diagonal
+unitaries it is conjugated by (the phase oracle, and the offset shift built
+directly, one selective shift per block member), the initial state, the
+hard y pulse, the two-stage purge filter, the readout, and ``run_sequence``,
+which runs them in order.  The solver does not run it: its engine,
+``protocol.pair_sequence``, reads the same amplitudes in O(nN), and the
+tests and ``--bench`` check and time this one against it.  The closed-form
+conjugation and evolution expansions that cross-check the dense pipeline
+term by term live in the tests' ``verification`` module.
 
 The sequence is: transverse initial state -> phase oracle at 90 degrees ->
 optional offset shift -> hard 90-degree y pulse on all spins -> gradient
@@ -12,85 +17,158 @@ per-spin offsets whenever the marked set and shift block do not collide on a
 spin's index pairs, and always agree with that difference modulo 2 (see
 ``run_sequence``).
 
-Two engines run it.  ``run_sequence`` is the dense reference: it builds the
-N x N density matrix once (``initial_state``), and every later stage
-(``spinops.conjugate``, ``apply_pulse`` and the two filters) transforms that
-state's array in place and returns the same state.  Each of those stages,
-and the readout's purity check, works on independent pieces of the state,
-which ``_workers`` deals out to worker threads; its docstring says how and
-from which n.
-``pair_sequence`` is the one the solver uses: the purged state is a sum of
-single-spin longitudinal terms, so spin k's amplitude depends only on the
-oracle and shift phases over spin k's index pairs.  At 90 degrees those phases are
-powers of ``-i`` with exponents ``q``, and a pair ``(r, r + 2^(n-k))`` adds
-``sin(pi/2 * (q_r - q_{r + 2^(n-k)}))``, which is 0 or +/-1: an exact
-integer readout in O(nN), independent of the polarizations.  The engine
-holds ``q`` mod 4 as two N-bit bit planes and reads each spin as two
-popcounts over the planes and their ``2^(n-k)``-shifted copies.  Both
-engines read in whole units of spin sum and end in ``_signal``, which builds
-each amplitude as a float and its zero flag once, at the one fixed floor
-``DEFAULT_THRESHOLD``, under the zero rule ``_zero_flags`` that the public
-``SignalVector`` constructor checks.  Neither takes a floor or a scale: the
-``2/N`` physical scale of the CLI's ``--snr`` is applied by
-``protocol.solve_parity`` alone.  The test suite checks the pair engine
-against the integer reference, which it agrees with exactly, and against the
-dense engine, which it agrees with to round-off.
+States are plain complex matrices, and the only unitaries conjugated are
+diagonal, stored as phase vectors, so that conjugation stays O(N^2).
+``run_sequence`` builds the density matrix once (``initial_state``), and
+every later stage (``conjugate``, ``apply_pulse`` and the two filters)
+transforms that state's array in place and returns the same state.  Each of
+those stages, and the readout's purity check, works on independent pieces
+of the state, which ``_workers`` deals out to worker threads; its docstring
+says how and from which n.  The readout reads in whole units of spin sum and
+ends in ``protocol._signal``, the readout rule of both engines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
 from ._workers import band_rows, blas_single_threaded, run_split, worker_count
-from .oracles import PhaseFunction, ShiftSpec, phase_oracle, shift_unitary_direct
-from .spinops import (
-    STRUCT_TOL,
-    DeviationState,
-    SpinSystem,
-    apply_diagonal,
-    bit_sign_table,
-    conjugate,
-)
+from .oracles import PhaseFunction, ShiftSpec
+from .protocol import SignalVector, _signal
+from .spinops import _OP_COUNTS, SpinSystem, check_spin_count
 
-# Zero floor of every readout.  Both engines read in whole units, so any floor
-# in (0, 1) tells zero from nonzero; this one sits far above the dense
-# engine's round-off and far below one unit.
-DEFAULT_THRESHOLD = 1e-9
-
-
-def _zero_flags(amplitudes, threshold) -> tuple:
-    """The zero rule of every readout: an amplitude reads as zero exactly
-    when its magnitude lies below the threshold."""
-    return tuple([abs(a) < threshold for a in amplitudes])
+# Absolute tolerance for structural invariants (hermiticity, unit modulus,
+# tracelessness): ~100x double round-off for phase products up to N = 4096.
+STRUCT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class SignalVector:
-    """Per-spin signed readout amplitudes with zero-detection flags.
+class DiagonalUnitary:
+    """Diagonal unitary stored as its length-N vector of unit phases."""
 
-    The constructor converts the amplitudes to floats and the flags to bools
-    and checks the flags against the zero rule at the given threshold.  The
-    engines build theirs through ``_signal``, which establishes the same
-    invariant at ``DEFAULT_THRESHOLD`` by construction and so skips the
-    second pass.
-    """
-
-    amplitudes: tuple
-    zero_flags: tuple
-    threshold: float
+    phases: np.ndarray
 
     def __post_init__(self):
-        amps = tuple(map(float, self.amplitudes))
-        flags = tuple(map(bool, self.zero_flags))
-        if len(amps) != len(flags):
-            raise ValueError("amplitude and flag counts differ")
-        if flags != _zero_flags(amps, self.threshold):
-            raise ValueError("zero flags inconsistent with threshold")
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "zero_flags", flags)
+        p = np.asarray(self.phases, dtype=complex).reshape(-1)
+        err = np.abs(np.abs(p) - 1.0).max()
+        if not err <= STRUCT_TOL:
+            raise ValueError(f"phases deviate from unit modulus by {err:.3e}")
+        object.__setattr__(self, "phases", p)
+
+    @property
+    def dim(self) -> int:
+        return self.phases.shape[0]
+
+
+@dataclass(frozen=True)
+class DeviationState:
+    """Traceless Hermitian matrix: the observable part of an ensemble state.
+
+    The component proportional to identity carries no NMR signal and is
+    dropped throughout, so every state handled here has exactly zero trace.
+    The dimension must be ``2**n`` with ``n >= 1``.  ``rho`` is a writable
+    C-contiguous complex array (the given one when it already is, else a
+    copy), and the dense stages (``conjugate``, ``apply_pulse`` and
+    both purge filters) transform it in place and return the same state, so
+    a caller that still needs the input passes a copy.  ``validate=False``
+    skips the O(N^2) structural checks, not the dimension check; reserved for
+    transforms that provably preserve them (phase conjugation, rotations,
+    coherence masks), each covered by a preservation test.
+    """
+
+    rho: np.ndarray
+    validate: InitVar[bool] = True
+
+    def __post_init__(self, validate: bool = True):
+        m = np.require(self.rho, dtype=complex, requirements="CW")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"state must be square, got shape {m.shape}")
+        N = m.shape[0]
+        if N < 2 or N & (N - 1):
+            raise ValueError(f"state dimension must be 2**n with n >= 1, got {N}")
+        if validate:
+            herm = np.abs(m - m.conj().T).max()
+            if not herm <= STRUCT_TOL:
+                raise ValueError(f"state deviates from Hermitian by {herm:.3e}")
+            tr = abs(m.trace())
+            if not tr <= STRUCT_TOL:
+                raise ValueError(f"deviation state must be traceless, |trace| = {tr:.3e}")
+        object.__setattr__(self, "rho", m)
+
+    @property
+    def dim(self) -> int:
+        return self.rho.shape[0]
+
+
+def bit_sign_table(n: int) -> np.ndarray:
+    """The +/-1 encoding of basis-index bits for ``n`` spins: a read-only
+    ``(n, 2**n)`` float64 array of exact +/-1.0, one row per spin (cached),
+    so the readout's product with a float diagonal casts nothing.
+
+    Entry ``[k-1, s]`` is +1 exactly when bit ``k`` of index ``s`` is 0
+    (spin 1 = most significant bit), so ``diag(1/2 + a/2, 1/2 - a/2)`` is
+    the single-spin projector selecting that bit.  Each row is balanced:
+    half the entries are +1.
+    """
+    # checked before the cache, where True and 1 would share a key
+    return _bit_sign_table(check_spin_count(n))
+
+
+@lru_cache(maxsize=None)
+def _bit_sign_table(n: int) -> np.ndarray:
+    shifts = np.arange(n - 1, -1, -1)[:, None]  # n - k for k = 1..n
+    v = 1.0 - 2.0 * ((np.arange(1 << n) >> shifts) & 1)
+    v.setflags(write=False)
+    return v
+
+
+def conjugate(u: DiagonalUnitary, state: DeviationState) -> DeviationState:
+    """Diagonal unitary conjugation ``rho -> u rho u^dagger``, in place on the
+    state's array; returns the same state.
+
+    The elementwise path ``rho[r, c] *= phases[r] * conj(phases[c])`` is
+    O(N^2) with no N x N temporary, run on bands of rows, which
+    ``_workers.run_split`` deals out to its workers; ``TypeError`` for
+    anything but a ``DiagonalUnitary``.
+    """
+    if not isinstance(u, DiagonalUnitary):
+        raise TypeError(f"cannot conjugate by {type(u).__name__}")
+    if u.dim != state.dim:
+        raise ValueError(f"dimension mismatch: {u.dim} vs {state.dim}")
+    rho, N = state.rho, state.dim
+    _OP_COUNTS["diagonal"] += 1
+    p = u.phases
+    pc = p.conj()
+    h = band_rows(N)
+    workers = worker_count(N, N // h)
+
+    def bands(i, lo, hi):
+        # elementwise scaling preserves hermiticity and trace exactly
+        for r in range(lo * h, hi * h, h):
+            rows = rho[r : r + h]
+            rows *= pc
+            rows *= p[r : r + h, None]
+
+    run_split(bands, workers, N // h)
+    return state
+
+
+def phase_oracle(f: PhaseFunction, theta: float) -> DiagonalUnitary:
+    """Generalized oracle with phases exp(-i theta g(x)), g read off
+    ``f.marks``; reduces to the sign oracle at theta = pi."""
+    return DiagonalUnitary(np.exp(-1j * theta * f.marks))
+
+
+def shift_unitary_direct(spec: ShiftSpec, n: int) -> DiagonalUnitary:
+    """Offset unitary as the literal product of ``m`` selective shifts at
+    angle -pi/2, one per index of the canonical block ``spec.block(n)``,
+    whose members all have spin-1 sign ``spec.sign``."""
+    p = np.ones(1 << n, dtype=complex)
+    p[spec.block(n)] = np.exp(0.5j * np.pi)
+    return DiagonalUnitary(p)
 
 
 def initial_state(system: SpinSystem) -> DeviationState:
@@ -261,19 +339,6 @@ def zero_quantum_filter(state: DeviationState) -> DeviationState:
     return _cancel_off_diagonal(state, pc, zero)
 
 
-def _signal(amps) -> SignalVector:
-    """The readout of both engines: turn amplitudes in whole units (Python
-    ints or floats) into floats and flag those below ``DEFAULT_THRESHOLD`` as
-    zero, building each float and flag once.  What the public constructor
-    would check holds by construction, so it is not run."""
-    amps = tuple(map(float, amps))
-    sig = object.__new__(SignalVector)
-    object.__setattr__(sig, "amplitudes", amps)
-    object.__setattr__(sig, "zero_flags", _zero_flags(amps, DEFAULT_THRESHOLD))
-    object.__setattr__(sig, "threshold", DEFAULT_THRESHOLD)
-    return sig
-
-
 def _off_diagonal_max(rho: np.ndarray) -> float:
     """max |rho[r, c]| over r != c (NaN if any is NaN), one band of rows at a
     time, so no N x N copy is made.
@@ -315,7 +380,7 @@ def _off_diagonal_max(rho: np.ndarray) -> float:
 
 def read_signal(state: DeviationState, system: SpinSystem) -> SignalVector:
     """Extract per-spin longitudinal amplitudes from a purged state, in whole
-    units of spin sum, each flagged zero below ``DEFAULT_THRESHOLD``.
+    units of spin sum, each flagged zero below ``protocol.DEFAULT_THRESHOLD``.
 
     ``amplitude[k] = 2 Tr(rho I_kz) / epsilon_k``; for pipeline outputs this
     is the integer signal the sequence encodes, to round-off.
@@ -368,53 +433,3 @@ def run_sequence(system: SpinSystem, f: PhaseFunction, shift: ShiftSpec = None) 
     """
     state = evolved_purged_state(system, f, shift)
     return read_signal(state, system)
-
-
-@lru_cache(maxsize=None)
-def _low_masks(n: int) -> tuple:
-    """``(step, low)`` for every spin k = 1..n: its pair step ``2^(n-k)`` and
-    the bitset of the indices whose spin-k bit is 0 (n*N/8 bytes in all)."""
-    N = 1 << n
-    masks = []
-    for k in range(1, n + 1):
-        step = 1 << (n - k)
-        # `step` ones then `step` zeros, doubled until it spans N bits
-        low, width = (1 << step) - 1, 2 * step
-        while width < N:
-            low |= low << width
-            width *= 2
-        masks.append((step, low))
-    return tuple(masks)
-
-
-def pair_sequence(system: SpinSystem, f: PhaseFunction, shift: ShiftSpec = None) -> SignalVector:
-    """Same readout as ``run_sequence`` in O(nN), without the density matrix,
-    in exact whole units.
-
-    At 90 degrees every phase is a power of ``-i``, so the state is held as
-    its quarter-turn exponents ``q`` mod 4, in two bit planes (see
-    ``spinops.apply_diagonal``): the oracle adds ``g(x)``, as the bitset
-    ``f.mark_bits`` that ``f`` packs once for all its runs, and the shift
-    adds -1 on its block.  An index pair ``(r, c)`` of spin k, c = r + 2^(n-k),
-    then adds ``sin(pi/2 * (q_r - q_c))`` to that spin's amplitude; the
-    polarization cancels.  The sine is +/-1 exactly when ``q_r`` and ``q_c``
-    differ in bit 0 (``odd``), and -1 when moreover ``q_c = q_r + 1`` mod 4,
-    which on such a pair is bit 1 of ``q_r`` xor bits 1 and 0 of ``q_c``
-    (``neg``).  So ``amp_k = |odd| - 2 |neg|``: two popcounts over the
-    planes and their ``2^(n-k)``-shifted copies.
-    """
-    if f.n != system.n:
-        raise ValueError(f"truth table is for n={f.n}, system has n={system.n}")
-    n = system.n
-    q = apply_diagonal((0, 0), f.mark_bits, +1)
-    if shift is not None:
-        block = shift.block(n)
-        q = apply_diagonal(q, (1 << block.stop) - (1 << block.start), -1)
-    q0, q1 = q
-    p = q0 ^ q1
-    amps = []
-    for step, low in _low_masks(n):
-        odd = (q0 ^ (q0 >> step)) & low
-        neg = (q1 ^ (p >> step)) & odd
-        amps.append(odd.bit_count() - 2 * neg.bit_count())
-    return _signal(amps)

@@ -1,16 +1,16 @@
-"""Truth tables, their phase oracle, and the offset shift used by the parity
-search: ``PhaseFunction``, ``phase_oracle``, ``ShiftSpec`` with its block,
-and ``shift_unitary_direct``.
+"""Truth tables and the offset shift used by the parity search:
+``PhaseFunction`` and ``ShiftSpec`` with its block.
 
-A Boolean phase function marks a subset of basis indices with -1; its oracle
-is the diagonal unitary applying that sign (or a general phase angle) to the
-marked indices.  The offset shift is a known, non-oracle diagonal unitary
-phasing a contiguous block of indices chosen so that all members share the
-sign of spin 1's bit; it is built here directly, one selective shift per
-block member.  Its compiled form, a short product of nonselective block
-shifts conjugated by bit flips over the set bits of the shift size, lives in
-the tests' ``verification`` module with the selective, sign and block shifts,
-which only the tests use.
+A Boolean phase function marks a subset of basis indices with -1; the
+solver reads the marked set as one packed bitset (``mark_bits``).  The
+offset shift is a known, non-oracle diagonal unitary phasing a contiguous
+block of indices chosen so that all members share the sign of spin 1's bit.
+Their dense forms, the phase oracle and the shift built directly, one
+selective shift per block member, live with the dense engine in
+``ensemble``.  The shift's compiled form, a short product of nonselective
+block shifts conjugated by bit flips over the set bits of the shift size,
+lives in the tests' ``verification`` module with the selective, sign and
+block shifts, which only the tests use.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spinops import DiagonalUnitary, _is_integer, check_spin_count
+from .spinops import _is_integer, check_spin_count
 
 
 def _is_sign(value) -> bool:
@@ -78,10 +78,6 @@ class PhaseFunction:
         marked: packed on first use and kept for every later run."""
         return int.from_bytes(np.packbits(self.marks, bitorder="little").tobytes(), "little")
 
-    def exponents(self) -> np.ndarray:
-        """g(x) as a 0/1 integer vector."""
-        return self.marks.astype(np.int64)
-
     @classmethod
     def constant(cls, n: int, value: int = +1) -> "PhaseFunction":
         n = check_spin_count(n)
@@ -118,12 +114,6 @@ class PhaseFunction:
         return cls(n, rng.random(1 << n) < density)
 
 
-def phase_oracle(f: PhaseFunction, theta: float) -> DiagonalUnitary:
-    """Generalized oracle with phases exp(-i theta g(x)); reduces to the sign
-    oracle at theta = pi."""
-    return DiagonalUnitary(np.exp(-1j * theta * f.exponents()))
-
-
 @dataclass(frozen=True)
 class ShiftSpec:
     """Offset shift specification: block size and spin-1 branch.
@@ -154,12 +144,3 @@ class ShiftSpec:
         self.validate(n)
         start = 0 if self.sign > 0 else 1 << (n - 1)
         return slice(start, start + self.m)
-
-
-def shift_unitary_direct(spec: ShiftSpec, n: int) -> DiagonalUnitary:
-    """Offset unitary as the literal product of ``m`` selective shifts at
-    angle -pi/2, one per index of the canonical block ``spec.block(n)``,
-    whose members all have spin-1 sign ``spec.sign``."""
-    p = np.ones(1 << n, dtype=complex)
-    p[spec.block(n)] = np.exp(0.5j * np.pi)
-    return DiagonalUnitary(p)

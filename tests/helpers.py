@@ -16,7 +16,7 @@ from spinparity import (
     read_signal,
 )
 from spinparity import _workers
-from spinparity.ensemble import pair_sequence
+from spinparity.protocol import pair_sequence
 
 
 def random_deviation_state(n: int, rng: np.random.Generator) -> DeviationState:

@@ -1,13 +1,18 @@
-"""The installed package holds only production code.
+"""The installed package holds only production code, and each engine keeps
+to its own module.
 
 Every module under ``src/spinparity`` is a production module, and none of
 them imports the test-only ``verification`` module, which lives beside the
 tests and not in the package.  Every name a production module defines is
-used by production code or by the benchmark.
+used by production code or by the benchmark.  The solver's path and the
+brute-force reference never import the dense engine or its worker threads.
+Every name the benchmark imports or binds from the package resolves.
 """
 
 import ast
+import importlib
 import importlib.util
+import types
 from pathlib import Path
 
 import pytest
@@ -100,3 +105,85 @@ def test_test_only_members_left_the_package():
     assert not hasattr(spinparity, "mark_count")
     assert not hasattr(spinparity, "projected_call_counts")
 
+
+
+def _imports(module: str) -> set:
+    """The package modules that ``module`` imports, anywhere in its body."""
+    found = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module.split(".")[0]] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("spinparity."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("spinparity."))
+    return found & set(PRODUCTION)
+
+
+def _closure(module: str) -> set:
+    """Every package module that importing ``module`` loads through its own
+    imports, directly or not."""
+    seen, todo = set(), [module]
+    while todo:
+        for dep in _imports(todo.pop()) - seen:
+            seen.add(dep)
+            todo.append(dep)
+    return seen
+
+
+def test_import_walk_sees_the_dense_engine():
+    # the walk finds real edges, so an empty closure below means something;
+    # cli may reach the dense engine, since --bench runs it
+    assert {"_workers", "oracles", "protocol", "spinops"} <= _closure("ensemble")
+    assert "ensemble" in _closure("cli")
+
+
+@pytest.mark.parametrize("module", ["oracles", "protocol", "reference", "spinops"])
+def test_production_path_does_not_import_the_dense_engine(module):
+    assert _closure(module) & {"ensemble", "_workers"} == set()
+
+
+_MISSING = object()
+
+
+def _bound(module: str, name: str):
+    """What ``from module import name`` binds, or ``_MISSING``."""
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return getattr(importlib.import_module(module), name, _MISSING)
+
+
+def test_benchmark_bindings_resolve():
+    # the tracer swaps these module attributes by name
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.BINDINGS
+    missing = [f"{module.__name__}.{attr}" for module, attr, *_ in tracer.BINDINGS if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_benchmark_imports_resolve():
+    # every ``from spinparity... import name`` in bench/, and every attribute
+    # the benchmark reads off a package module bound that way
+    checked, missing = 0, []
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "spinparity":
+                for alias in node.names:
+                    checked += 1
+                    obj = _bound(node.module, alias.name)
+                    if obj is _MISSING:
+                        missing.append(f"{path.name}: {node.module}.{alias.name}")
+                    elif isinstance(obj, types.ModuleType):
+                        modules[alias.asname or alias.name] = obj
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                checked += 1
+                if not hasattr(modules[node.value.id], node.attr):
+                    missing.append(f"{path.name}: {modules[node.value.id].__name__}.{node.attr}")
+    assert checked >= 10
+    assert missing == []

@@ -36,7 +36,7 @@ from spinparity import (
     zero_quantum_filter,
 )
 from spinparity import _workers, ensemble
-from spinparity.spinops import STRUCT_TOL
+from spinparity.ensemble import STRUCT_TOL
 
 from helpers import (
     copy_state,

@@ -23,7 +23,8 @@ from spinparity import (
     shift_unitary_direct,
     solve_parity,
 )
-from spinparity.ensemble import apply_pulse, pair_sequence
+from spinparity.ensemble import apply_pulse
+from spinparity.protocol import pair_sequence
 
 from helpers import random_deviation_state
 from verification import shift_unitary_compiled

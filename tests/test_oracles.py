@@ -16,8 +16,8 @@ from spinparity import (
     shift_unitary_direct,
     solve_parity,
 )
+from spinparity.ensemble import STRUCT_TOL
 from spinparity.reference import brute_shift_index_set
-from spinparity.spinops import STRUCT_TOL
 
 from helpers import copy_state
 from verification import (
@@ -33,7 +33,7 @@ class TestPhaseFunction:
         f = PhaseFunction.from_marks(3, [1, 4, 7])
         vals = 1 - 2 * f.marks
         assert list(np.flatnonzero(vals == -1)) == [1, 4, 7]
-        assert np.allclose(np.exp(-1j * np.pi * f.exponents()), vals)
+        assert np.allclose(np.exp(-1j * np.pi * f.marks.astype(np.int64)), vals)
 
     def test_constant_factories(self):
         assert not PhaseFunction.constant(2, +1).marks.any()
@@ -100,7 +100,7 @@ class TestPhaseFunction:
         f = PhaseFunction.from_marks(4, [2, 11])
         same = [
             PhaseFunction(4, f.marks.copy()),
-            PhaseFunction(4, f.exponents()),
+            PhaseFunction(4, f.marks.astype(np.int64)),
             PhaseFunction.from_marks(4, [11, 2, 2]),
             copy.copy(f),
             copy.deepcopy(f),
@@ -199,7 +199,7 @@ class TestSignOracle:
             f = PhaseFunction(n, rng.random(1 << n) < 0.5)
             product = np.ones(1 << n, dtype=complex)
             for x in range(1 << n):
-                product *= selective_phase_shift(n, x, np.pi * f.exponents()[x]).phases
+                product *= selective_phase_shift(n, x, np.pi * f.marks.astype(np.int64)[x]).phases
             assert np.abs(sign_oracle(f).phases - product).max() < STRUCT_TOL
 
 
@@ -215,6 +215,14 @@ class TestPhaseOracle:
     def test_trivial_function_any_angle(self):
         f = PhaseFunction.constant(3, +1)
         assert np.allclose(phase_oracle(f, 1.234).phases, np.ones(8))
+
+    @pytest.mark.parametrize("theta", [np.pi / 2, np.pi])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_reads_the_marks_as_integer_exponents(self, n, theta):
+        # the oracle reads bool marks; its phases are those of the 0/1 exponents
+        f = PhaseFunction.random(n, 0.5, seed=n)
+        want = np.exp(-1j * theta * f.marks.astype(np.int64))
+        assert phase_oracle(f, theta).phases.tobytes() == want.tobytes()
 
     def test_angle_additivity(self):
         f = PhaseFunction.random(3, 0.5, 9)

@@ -11,15 +11,16 @@ from spinparity import (
     ShiftSpec,
     SignalVector,
     SpinSystem,
+    bit_sign_table,
     brute_parity,
     brute_shifted_signal,
     solve_parity,
 )
-from spinparity import ensemble
-from spinparity.ensemble import pair_sequence
+from spinparity import ensemble, protocol
+from spinparity.protocol import pair_sequence
 from spinparity.spinops import op_counts
 
-from helpers import engine_cases
+from helpers import engine_cases, same_bytes
 
 TOL = 1e-12
 
@@ -89,6 +90,26 @@ def test_equals_integer_reference_exactly(n):
         assert case.pair.zero_flags == case.dense.zero_flags, case.where()
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_purge_changes_no_amplitude(n, monkeypatch):
+    # both filters write only off-diagonal elements and the readout reads
+    # only the diagonal, so the pulse's output already holds the amplitudes
+    pulsed, real_pulse = [], ensemble.apply_pulse
+
+    def pulse(state, angle):
+        out = real_pulse(state, angle)
+        pulsed.append(np.diag(out.rho).real.copy())
+        return out
+
+    monkeypatch.setattr(ensemble, "apply_pulse", pulse)
+    signs = bit_sign_table(n)
+    for case in engine_cases(n):
+        pulsed.clear()
+        ensemble.evolved_purged_state(case.system, case.f, case.spec)
+        unpurged = signs @ pulsed[0] / np.asarray(case.system.epsilon)
+        assert same_bytes(unpurged, np.array(case.dense.amplitudes)), case.where()
+
+
 def _large_cases(n):
     """Seeded functions from sparse to dense, each with no shift, the edge
     shifts m = 1 and m = N/2 and a random shift, on both spin-1 branches."""
@@ -134,7 +155,7 @@ def test_readout_allocates_no_per_index_arrays():
 @pytest.mark.parametrize("n", range(1, 15))
 def test_low_masks_match_per_index_construction(n):
     N = 1 << n
-    for k, (step, low) in enumerate(ensemble._low_masks(n), start=1):
+    for k, (step, low) in enumerate(protocol._low_masks(n), start=1):
         assert step == 1 << (n - k)
         assert low == sum(1 << x for x in range(N) if not (x >> (n - k)) & 1), f"n={n} k={k}"
 

@@ -13,7 +13,7 @@ from spinparity import (
     solve_parity,
 )
 from spinparity import protocol
-from spinparity.ensemble import DEFAULT_THRESHOLD, pair_sequence
+from spinparity.protocol import DEFAULT_THRESHOLD, pair_sequence
 
 from helpers import _exhaustive, function_from_mask, random_function
 from verification import projected_call_counts

@@ -10,7 +10,8 @@ from spinparity import (
     bit_sign_table,
     conjugate,
 )
-from spinparity.spinops import STRUCT_TOL, apply_diagonal, op_counts
+from spinparity.ensemble import STRUCT_TOL
+from spinparity.spinops import apply_diagonal, op_counts
 
 from helpers import copy_state, random_complex_state, random_deviation_state, same_bytes, split_and_serial
 from verification import (

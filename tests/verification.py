@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spinparity.ensemble import initial_state
+from spinparity.ensemble import DeviationState, DiagonalUnitary, bit_sign_table, initial_state
 from spinparity.oracles import PhaseFunction, ShiftSpec
-from spinparity.spinops import DeviationState, DiagonalUnitary, SpinSystem, bit_sign_table, integer_spin_count
+from spinparity.spinops import SpinSystem, _is_integer
 
 _HALF_SIGMA = {
     "x": 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -191,7 +191,7 @@ def oracle_conjugation_expansion(state: DeviationState, f: PhaseFunction, theta:
     double sum over marked index pairs."""
     if f.dim != state.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {state.dim}")
-    return _phase_projector_expansion(state, f.exponents().astype(float), theta)
+    return _phase_projector_expansion(state, f.marks.astype(np.int64).astype(float), theta)
 
 
 def _phase_projector_expansion(state: DeviationState, d: np.ndarray, theta: float) -> DeviationState:
@@ -263,7 +263,9 @@ def projected_call_counts(n: int) -> dict:
     """Worst-case oracle budget (criterion 7): n sequence runs, each
     consuming one 90-degree oracle application, i.e. two sign-oracle calls.
     Uncapped: no state is built."""
-    n = integer_spin_count(n)
+    if not _is_integer(n):
+        raise ValueError(f"spin count must be an integer, got {n!r}")
+    n = int(n)
     if n < 1:
         raise ValueError("spin count must be >= 1")
     return {"uo": n, "uf": 2 * n}
