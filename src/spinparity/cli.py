@@ -22,7 +22,6 @@ import sys
 import time
 from dataclasses import dataclass, replace
 
-from .ensemble import run_sequence
 from .oracles import PhaseFunction
 from .protocol import solve_parity
 from .reference import reference_report
@@ -186,6 +185,9 @@ def render_report(report: dict, fmt: str) -> str:
 def bench(cfg: ExperimentConfig, sizes) -> dict:
     """Time the best of three dense sequence runs per size, on ``cfg``'s
     function source built at each size."""
+    # imported here, so a solve or --verify never loads the dense engine
+    from .ensemble import run_sequence
+
     if cfg.source.startswith("file:"):
         raise ValueError("bench requires a size-independent function source")
     seconds = []

@@ -2,9 +2,9 @@
 unitaries it is conjugated by (the phase oracle, and the offset shift built
 directly, one selective shift per block member), the initial state, the
 hard y pulse, the two-stage purge filter, the readout, and ``run_sequence``,
-which runs them in order.  The solver does not run it: its engine,
-``protocol.pair_sequence``, reads the same amplitudes in O(nN), and the
-tests and ``--bench`` check and time this one against it.  The closed-form
+which runs them in order.  The solver does not run it: its engine, the
+pair kernel ``protocol.run_sequence``, reads the same amplitudes in O(nN),
+and the tests and ``--bench`` check and time this one against it.  The closed-form
 conjugation and evolution expansions that cross-check the dense pipeline
 term by term live in the tests' ``verification`` module.
 

@@ -1,26 +1,28 @@
-"""The production engine and its search: the exact integer pair engine
-``pair_sequence``, the readout rule that both engines share, and the parity
-determination, a base run, a zero-signal decision and the integer bisection
-over offset sizes that pins down the parity in at most n runs.
+"""The production engine and its search: the exact integer pair kernel
+``run_sequence``, its single-run wrapper ``pair_sequence``, the readout rule
+that both engines share, and the parity determination, a base run, a
+zero-signal decision and the integer bisection over offset sizes that pins
+down the parity in at most n runs.
 
 The sequence is: transverse initial state -> phase oracle at 90 degrees ->
 optional offset shift -> hard 90-degree y pulse on all spins -> gradient
 filter -> zero-quantum filter -> longitudinal readout.  ``ensemble`` runs
-it densely, as the reference; ``pair_sequence`` reads the same amplitudes
-without the density matrix.  The purged state is a sum of single-spin
-longitudinal terms, so spin k's amplitude depends only on the oracle and
-shift phases over spin k's index pairs, and at 90 degrees each pair adds 0
-or +/-1: an exact integer readout in O(nN), independent of the
-polarizations, whose closed form ``pair_sequence`` gives.  Both
-engines read in whole units of spin sum and end in ``_signal``, which
-builds each amplitude as a float and its zero flag once, at the one fixed
-floor ``DEFAULT_THRESHOLD``, under the zero rule ``_zero_flags`` that the
-public ``SignalVector`` constructor checks.  Neither takes a floor or a
-scale: the ``2/N`` physical scale of the CLI's ``--snr`` is applied by
-``solve_parity`` alone.  The test suite checks the pair engine against the
-integer reference, which it agrees with exactly, and against the dense
-engine, which it agrees with to round-off; nothing here imports the dense
-engine or its worker threads.
+it densely, as the reference; the kernel ``run_sequence`` reads the same
+amplitudes without the density matrix.  The purged state is a sum of
+single-spin longitudinal terms, so spin k's amplitude depends only on the
+oracle and shift phases over spin k's index pairs, and at 90 degrees each
+pair adds 0 or +/-1: an exact integer readout in O(nN), independent of the
+polarizations.  The kernel takes the marked set and the shift block as two
+bitsets and returns the n amplitudes as ints; its docstring gives the
+closed form.  ``pair_sequence`` and the dense engine end in ``_signal``,
+which builds each amplitude as a float and its zero flag once, at the one
+fixed floor ``DEFAULT_THRESHOLD``, under the zero rule ``_zero_flags`` that
+the public ``SignalVector`` constructor checks.  Neither engine takes a
+floor or a scale: the ``2/N`` physical scale of the CLI's ``--snr`` is
+applied by ``solve_parity`` alone.  The test suite checks the kernel
+against the integer reference, which it agrees with exactly, and against
+the dense engine, which it agrees with to round-off; nothing here imports
+the dense engine or its worker threads.
 
 The base run reads the per-spin mark sums.  If any spin reads zero the mark
 count is even and the answer is immediate.  Otherwise the search takes the
@@ -43,12 +45,14 @@ units, the spin-1 amplitude at offset M is congruent to the base amplitude
 plus M mod 2, because each index pair adds ``sin(pi/2 * dq)``, which is
 ``dq`` mod 2, and the shift takes M from spin 1's exponent sum.
 
-Every run goes through ``pair_sequence``, whose amplitudes are whole units,
-so the amplitude unit is known here alone: the walk check reads them as
-they come, and in SNR mode ``solve_parity`` records them times ``2/N``, the
-minimum nonzero physical signal.  The worst-case call budget that criterion
-7 checks, ``projected_call_counts``, is test-only and lives in the tests'
-``verification`` module.
+``solve_parity`` packs the marked set once and calls the kernel directly
+for each of its runs, with the probe's block as a bitset, so a run builds
+no ``ShiftSpec`` and no ``SignalVector``.  The kernel's amplitudes are
+exact ints, so the zero test is ``== 0`` and the walk check is integer
+arithmetic; each record holds them as floats, or in SNR mode times
+``2/N``, the minimum nonzero physical signal.  The worst-case call budget
+that criterion 7 checks, ``projected_call_counts``, is test-only and lives
+in the tests' ``verification`` module.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .oracles import PhaseFunction, ShiftSpec
-from .spinops import SpinSystem, apply_diagonal
+from .spinops import _OP_COUNTS, SpinSystem
 
 # Zero floor of every readout.  Both engines read in whole units, so any floor
 # in (0, 1) tells zero from nonzero; this one sits far above the dense
@@ -127,42 +131,56 @@ def _low_masks(n: int) -> tuple:
     return tuple(masks)
 
 
-def pair_sequence(system: SpinSystem, f: PhaseFunction, shift: ShiftSpec = None) -> SignalVector:
-    """Same readout as the dense ``ensemble.run_sequence`` in O(nN), without
-    the density matrix, in exact whole units.
+# The benchmark's tracer wraps the kernel under this name, as the sequence run
+# the solver reaches: ``solve_parity`` and ``pair_sequence`` call it through
+# the module global, so each run counts as one ``protocol.run_sequence`` call.
+def run_sequence(n: int, g: int, e: int) -> list:
+    """The n integer amplitudes, spin 1 first, of one run whose oracle marks
+    the N-bit set ``g`` and whose shift block is the N-bit set ``e`` (0 for
+    an unshifted run): the dense ``ensemble.run_sequence``'s readout in
+    O(nN), without the density matrix, in exact whole units.
 
     At 90 degrees every phase is a power of ``-i``, so the state is held as
-    its quarter-turn exponents ``q`` mod 4, in two bit planes (see
-    ``spinops.apply_diagonal``): the oracle adds ``g(x)``, as the bitset
-    ``f.mark_bits`` that ``f`` packs once for all its runs, and the shift
-    adds -1 on its block.  An index pair ``(r, c)`` of spin k, c = r + 2^(n-k),
-    then adds ``sin(pi/2 * (q_r - q_c))`` to that spin's amplitude; the
-    polarization cancels.  The sine is +/-1 exactly when ``q_r`` and ``q_c``
-    differ in bit 0 (``odd``), and -1 when moreover ``q_c = q_r + 1`` mod 4,
-    which on such a pair is bit 1 of ``q_r`` xor bits 1 and 0 of ``q_c``
-    (``neg``).  So ``amp_k = |odd| - 2 |neg|``: two popcounts over the
-    planes and their ``2^(n-k)``-shifted copies.
+    its quarter-turn exponents ``q`` mod 4, in two bit planes: bit x of
+    ``q0`` (``q1``) is bit 0 (1) of index x's exponent.  The oracle adds
+    ``g(x)`` and the shift adds -1 on its block; from zero planes those two
+    mod-4 adds give ``q0 = g ^ e`` and ``q1 = ~g & e``.  An index pair
+    ``(r, c)`` of spin k, c = r + 2^(n-k), then adds ``sin(pi/2 * (q_r -
+    q_c))`` to that spin's amplitude; the polarization cancels.  The sine
+    is +/-1 exactly when ``q_r`` and ``q_c`` differ in bit 0 (``odd``), and
+    -1 when moreover ``q_c = q_r + 1`` mod 4, which on such a pair is bit 1
+    of ``q_r`` xor bits 1 and 0 of ``q_c`` (``neg``).  So ``amp_k = |odd| -
+    2 |neg|``: two popcounts over the planes and their ``2^(n-k)``-shifted
+    copies.  Counts the oracle add, and the shift add if ``e`` is nonzero,
+    with the diagonal conjugations.
     """
-    if f.n != system.n:
-        raise ValueError(f"truth table is for n={f.n}, system has n={system.n}")
-    n = system.n
-    q = apply_diagonal((0, 0), f.mark_bits, +1)
-    if shift is not None:
-        block = shift.block(n)
-        q = apply_diagonal(q, (1 << block.stop) - (1 << block.start), -1)
-    q0, q1 = q
+    q0 = g ^ e
+    q1 = ~g & e
     p = q0 ^ q1
+    _OP_COUNTS["diagonal"] += 2 if e else 1
     amps = []
     for step, low in _low_masks(n):
         odd = (q0 ^ (q0 >> step)) & low
         neg = (q1 ^ (p >> step)) & odd
         amps.append(odd.bit_count() - 2 * neg.bit_count())
-    return _signal(amps)
+    return amps
 
 
-# Bound under the dense engine's name: the benchmark's tracer wraps
-# ``protocol.run_sequence`` as the sequence run the solver reaches.
-run_sequence = pair_sequence
+def _check_sizes(system: SpinSystem, f: PhaseFunction) -> None:
+    if f.n != system.n:
+        raise ValueError(f"truth table is for n={f.n}, system has n={system.n}")
+
+
+def pair_sequence(system: SpinSystem, f: PhaseFunction, shift: ShiftSpec = None) -> SignalVector:
+    """One run of the pair engine as a ``SignalVector``: the kernel
+    ``run_sequence`` on ``f.mark_bits``, packed once for all of ``f``'s runs,
+    and the bitset of ``shift``'s block."""
+    _check_sizes(system, f)
+    e = 0
+    if shift is not None:
+        block = shift.block(system.n)
+        e = (1 << block.stop) - (1 << block.start)
+    return _signal(run_sequence(system.n, f.mark_bits, e))
 
 
 class SignalError(ValueError):
@@ -208,48 +226,53 @@ def solve_parity(system: SpinSystem, f: PhaseFunction, snr_mode: bool = False) -
 
     In SNR mode the recorded amplitudes, and those the decisions print, are
     the engine's whole units times ``2/N``, the physically detectable scale;
-    branch decisions only use signs and zero flags, so the control flow is
+    branch decisions only use signs and zeros, so the control flow is
     unchanged.  Raises ``SignalError`` when a probe's spin-1 amplitude breaks
     the parity walk.
     """
-    half = system.dim // 2
+    _check_sizes(system, f)
+    n, g = system.n, f.mark_bits
+    half = 1 << (n - 1)
     scale = 2.0 / system.dim
     records = []
 
-    def recorded(amps: tuple) -> tuple:
-        """The amplitudes a record holds: the engine's, or in SNR mode
-        those times ``2/N``."""
-        return tuple([a * scale for a in amps]) if snr_mode else amps
+    def recorded(amps: list) -> tuple:
+        """The amplitudes a record holds: the kernel's as floats, or in SNR
+        mode those times ``2/N``."""
+        return tuple([a * scale for a in amps]) if snr_mode else tuple(map(float, amps))
 
-    sig = run_sequence(system, f, None)
-    base_amps = recorded(sig.amplitudes)
-    if any(sig.zero_flags):
-        zeros = [k + 1 for k, z in enumerate(sig.zero_flags) if z]
+    units = run_sequence(n, g, 0)
+    base_amps = recorded(units)
+    if 0 in units:
+        zeros = [k + 1 for k, a in enumerate(units) if a == 0]
         records.append(
             IterationRecord(None, None, base_amps,
                             f"zero signal on spin(s) {zeros}; mark count is even")
         )
         return RunTrace(tuple(records), +1, None)
 
-    sign = +1 if sig.amplitudes[0] > 0 else -1
+    base = units[0]
+    sign = +1 if base > 0 else -1
     records.append(
         IterationRecord(None, None, base_amps,
                         f"no zero signal; bracketing spin 1 with branch sign {sign:+d}")
     )
 
-    base = round(sig.amplitudes[0])
+    # each probe's block, as ``ShiftSpec(mid, sign).block(n)`` gives it: the
+    # ``mid`` smallest indices on spin 1's ``sign`` branch, from ``start``
+    start = 0 if sign > 0 else half
     lo, hi = 0, half
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        probe = run_sequence(system, f, ShiftSpec(mid, sign))
-        a = probe.amplitudes[0]
-        amps = recorded(probe.amplitudes)
-        if (round(a) - base + mid) % 2:
+        units = run_sequence(n, g, ((1 << mid) - 1) << start)
+        a = units[0]
+        amps = recorded(units)
+        if (a - base + mid) % 2:
             raise SignalError(
                 f"spin-1 amplitude {amps[0]:+.12g} at offset {mid} breaks the parity "
                 f"walk from base amplitude {base_amps[0]:+.12g}"
             )
-        if probe.zero_flags[0]:
+        if a == 0:
             hi = mid
             decision = f"offset {mid} nulls the spin-1 signal"
         elif sign * a > 0:
@@ -259,7 +282,7 @@ def solve_parity(system: SpinSystem, f: PhaseFunction, snr_mode: bool = False) -
             hi = mid
             decision = f"spin-1 amplitude {amps[0]:+.12g}; zero below offset {mid}"
         records.append(IterationRecord(mid, sign, amps, decision))
-        if probe.zero_flags[0]:
+        if a == 0:
             break
     # The zero is at hi: a zero probe put it there, or the bracket has width
     # one, where the walk moves by one per unit offset, so a nonzero left

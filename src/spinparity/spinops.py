@@ -1,16 +1,16 @@
-"""The register, its spin-count check, and the bit-plane diagonal add.
+"""The register, its spin-count check, and the diagonal-op counter.
 
 Everything here works on a register of ``n`` work spins with dimension
 ``N = 2**n``.  Spin 1 owns the most significant bit of a basis index, so
 basis state ``s`` assigns spin ``k`` the bit ``(s >> (n - k)) & 1``, with
-bit 0 corresponding to magnetic quantum number +1/2.  A quarter-turn
-diagonal unitary acts on a state vector held as its quarter-turn exponents
-mod 4, in two bit planes, by a bitwise mod-4 add, O(N/64) machine words:
-the pair engine's one state operation (``protocol.pair_sequence``).  The
-dense state and unitary types, and their conjugation, live with the dense
-engine in ``ensemble``; the single-spin operators, basis projectors and
-scalar coherence order that tests build their targets from live in the
-tests' ``verification`` module.
+bit 0 corresponding to magnetic quantum number +1/2.  The pair engine's
+kernel (``protocol.run_sequence``) builds its quarter-turn exponent planes
+inline and counts its adds here, as the dense engine's ``ensemble.conjugate``
+counts its conjugations.  The dense state and unitary types, and their
+conjugation, live with the dense engine in ``ensemble``; the single-spin
+operators, basis projectors, scalar coherence order and the generic mod-4
+add on bit planes that tests build their targets from live in the tests'
+``verification`` module.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ import numpy as np
 DEFAULT_QUBIT_CAP = 12
 
 # Instrumentation, read by the benchmark to count the elementwise diagonal
-# steps: ``apply_diagonal`` here and ``ensemble.conjugate``.  No dense
-# conjugation path exists, so "dense" stays 0; the benchmark still reads
-# both keys.  Diagnostic only; not part of any numeric result.
+# steps: the pair kernel's oracle and shift adds (``protocol.run_sequence``)
+# and ``ensemble.conjugate``.  No dense conjugation path exists, so "dense"
+# stays 0; the benchmark still reads both keys.  Diagnostic only; not part
+# of any numeric result.
 _OP_COUNTS = {"diagonal": 0, "dense": 0}
 
 
@@ -84,22 +85,3 @@ class SpinSystem:
     def dim(self) -> int:
         return 1 << self.n
 
-
-def apply_diagonal(q: tuple, e: int, sign: int) -> tuple:
-    """Apply a quarter-turn diagonal unitary to a length-N vector held as its
-    quarter-turn exponents mod 4 (entries ``(-i)**q``), and return the result.
-
-    ``q = (q0, q1)`` are the exponents' two bit planes as Python ints: bit x
-    of ``q0`` (``q1``) is bit 0 (1) of index x's exponent.  The unitary adds
-    ``sign`` (+1 or -1) to the exponent of every index in the bitset ``e``,
-    as a mod-4 add with one carry plane.  Counted with the diagonal
-    conjugations."""
-    q0, q1 = q
-    if sign == 1:
-        q1 ^= q0 & e
-    elif sign == -1:
-        q1 ^= ~q0 & e
-    else:
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    _OP_COUNTS["diagonal"] += 1
-    return q0 ^ e, q1

@@ -5,13 +5,18 @@ Every module under ``src/spinparity`` is a production module, and none of
 them imports the test-only ``verification`` module, which lives beside the
 tests and not in the package.  Every name a production module defines is
 used by production code or by the benchmark.  The solver's path and the
-brute-force reference never import the dense engine or its worker threads.
-Every name the benchmark imports or binds from the package resolves.
+brute-force reference never import the dense engine or its worker threads,
+and neither does importing the package for them.  Every name the benchmark
+imports or binds from the package resolves.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -23,7 +28,11 @@ SRC = Path(spinparity.__file__).resolve().parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 PRODUCTION = tuple(sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__"))
 # Production names that only the tests use, each with its reason.
-UNUSED_ALLOWED = set()
+UNUSED_ALLOWED = {
+    # the pair engine's public single run, read as a SignalVector like the
+    # dense ``ensemble.run_sequence``; the solver calls its kernel directly
+    "pair_sequence",
+}
 
 
 def _tree(module: str) -> ast.Module:
@@ -141,6 +150,56 @@ def test_import_walk_sees_the_dense_engine():
 @pytest.mark.parametrize("module", ["oracles", "protocol", "reference", "spinops"])
 def test_production_path_does_not_import_the_dense_engine(module):
     assert _closure(module) & {"ensemble", "_workers"} == set()
+
+
+# ``dir(spinparity)`` after ``import spinparity`` when the package imported
+# the dense engine eagerly, less the dunders every module has; every name
+# must still resolve and still be listed.
+_EAGER_DIR = (
+    "DeviationState", "DiagonalUnitary", "IterationRecord", "PhaseFunction", "ReferenceReport",
+    "RunTrace", "ShiftSpec", "SignalError", "SignalVector", "SpinSystem", "__version__",
+    "_workers", "apply_pulse", "bit_sign_table", "brute_parity", "brute_shift_sums",
+    "brute_shifted_signal", "brute_spin_sums", "conjugate", "ensemble", "evolved_purged_state",
+    "gradient_filter", "initial_state", "oracles", "phase_oracle", "protocol", "read_signal",
+    "reference", "reference_report", "run_sequence", "shift_unitary_direct", "solve_parity",
+    "spinops", "zero_quantum_filter",
+)
+
+_FRESH_PROBE = """
+import json, sys
+{statement}
+dense = sorted(m for m in ("spinparity.ensemble", "spinparity._workers") if m in sys.modules)
+import spinparity
+names = json.loads(sys.argv[1])
+missing = [name for name in names if not hasattr(spinparity, name)]
+unlisted = sorted(set(names) - set(dir(spinparity)))
+print(json.dumps([dense, missing, unlisted]))
+"""
+
+
+@pytest.mark.parametrize("statement", [
+    "from spinparity import solve_parity",
+    "import spinparity.protocol",
+    "import spinparity.cli",
+])
+def test_solver_import_leaves_the_dense_engine_unloaded(statement):
+    # a fresh interpreter, since this one has loaded the dense engine
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROBE.format(statement=statement), json.dumps(_EAGER_DIR)],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    dense, missing, unlisted = json.loads(out.stdout)
+    assert dense == []
+    assert missing == [] and unlisted == []
+    # and the lazy names load it on use
+    assert spinparity.run_sequence is spinparity.ensemble.run_sequence
+
+
+def test_star_import_binds_every_public_name():
+    names = {}
+    exec("from spinparity import *", names)
+    assert {name for name in _EAGER_DIR if not name.startswith("_")} <= set(names)
 
 
 _MISSING = object()

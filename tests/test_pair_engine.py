@@ -1,5 +1,6 @@
-"""The O(nN) pair engine against the dense reference engine and the integer
-reference, and the work the solver does through it."""
+"""The O(nN) pair engine against the dense reference engine, the integer
+reference and the generic mod-4 add, and the work the solver does through
+it."""
 
 import tracemalloc
 
@@ -21,6 +22,7 @@ from spinparity.protocol import pair_sequence
 from spinparity.spinops import op_counts
 
 from helpers import engine_cases, same_bytes
+from verification import apply_diagonal
 
 TOL = 1e-12
 
@@ -152,6 +154,37 @@ def test_readout_allocates_no_per_index_arrays():
     assert peak <= 32 * 1024, peak
 
 
+def _pair_sums(n, q):
+    """Each spin's sum of ``sin(pi/2 * (q_r - q_c))`` over its index pairs
+    ``(r, c = r + 2^(n-k))``, read per index off the planes ``q``."""
+    N = 1 << n
+    q0, q1 = (np.unpackbits(np.frombuffer(p.to_bytes(max(N // 8, 1), "little"), np.uint8),
+                            bitorder="little")[:N].astype(np.int64) for p in q)
+    exps = q0 + 2 * q1
+    sine = np.array([0, 1, 0, -1])
+    x = np.arange(N)
+    sums = []
+    for k in range(1, n + 1):
+        step = 1 << (n - k)
+        r = x[(x & step) == 0]
+        sums.append(int(sine[(exps[r] - exps[r + step]) % 4].sum()))
+    return sums
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_kernel_planes_are_two_generic_adds(n):
+    # the kernel's inline planes q0 = g ^ e, q1 = ~g & e are the oracle's +1
+    # add on g then the shift's -1 add on e; random bitsets, not just
+    # blocks, and e = 0 for an unshifted run
+    rng = np.random.default_rng(700 + n)
+    N = 1 << n
+    for i in range(6):
+        g = int.from_bytes(rng.bytes(max(N // 8, 1)), "little") & ((1 << N) - 1)
+        e = 0 if i == 0 else int.from_bytes(rng.bytes(max(N // 8, 1)), "little") & ((1 << N) - 1)
+        q = apply_diagonal(apply_diagonal((0, 0), g, +1), e, -1)
+        assert protocol.run_sequence(n, g, e) == _pair_sums(n, q), f"n={n} g={g:#x} e={e:#x}"
+
+
 @pytest.mark.parametrize("n", range(1, 15))
 def test_low_masks_match_per_index_construction(n):
     N = 1 << n
@@ -197,3 +230,17 @@ def test_solver_op_counts_at_n10():
     assert trace.parity == -1
     assert after["diagonal"] - before["diagonal"] == trace.uo_calls + shifted
     assert after["dense"] - before["dense"] == 0
+
+    def added(run):
+        before = op_counts()
+        run()
+        after = op_counts()
+        return after["diagonal"] - before["diagonal"], after["dense"] - before["dense"]
+
+    system = SpinSystem(10)
+    even = PhaseFunction.from_marks(10, [3, 700])
+    assert solve_parity(system, even).uo_calls == 1
+    # a base-only solve: one oracle add; a single run: one more per shift
+    assert added(lambda: solve_parity(system, even)) == (1, 0)
+    assert added(lambda: pair_sequence(system, f)) == (1, 0)
+    assert added(lambda: pair_sequence(system, f, ShiftSpec(300, -1))) == (2, 0)

@@ -5,7 +5,6 @@ from spinparity import (
     PhaseFunction,
     RunTrace,
     SignalError,
-    SignalVector,
     ShiftSpec,
     SpinSystem,
     brute_parity,
@@ -13,7 +12,7 @@ from spinparity import (
     solve_parity,
 )
 from spinparity import protocol
-from spinparity.protocol import DEFAULT_THRESHOLD, pair_sequence
+from spinparity.protocol import pair_sequence
 
 from helpers import _exhaustive, function_from_mask, random_function
 from verification import projected_call_counts
@@ -145,7 +144,7 @@ class TestTraceInvariants:
             assert np.all(base % 2 == f.marks.sum() % 2)
 
     def test_mismatched_function_rejected(self):
-        # the base run's engine call raises before any work
+        # solve_parity checks the sizes before its first run
         with pytest.raises(ValueError, match=r"^truth table is for n=2, system has n=3$"):
             solve_parity(SpinSystem(3), PhaseFunction.constant(2, +1))
 
@@ -190,35 +189,93 @@ class TestTraceInvariants:
 
 class TestSignalInvariant:
 
-    @pytest.mark.parametrize("snr_mode", [False, True])
-    @pytest.mark.parametrize("bad_probe", [0, 1, 4])
-    def test_probe_one_unit_off_raises(self, monkeypatch, snr_mode, bad_probe):
-        # an odd-count table whose solve takes all n = 6 runs, so every probe
-        # index used here is reached
+    @staticmethod
+    def _full_walk(snr_mode):
+        """An odd-count table whose solve takes all n = 6 runs, so every probe
+        index used here is reached."""
         rng = np.random.default_rng(160)
         f = random_function(6, rng)
         while f.marks.sum() % 2 == 0:
             f = random_function(6, rng)
         system = SpinSystem(6)
         assert solve_parity(system, f, snr_mode=snr_mode).uo_calls == 6
+        return system, f
+
+    @pytest.mark.parametrize("snr_mode", [False, True])
+    @pytest.mark.parametrize("bad_probe", [0, 1, 4])
+    def test_probe_one_unit_off_raises(self, monkeypatch, snr_mode, bad_probe):
+        system, f = self._full_walk(snr_mode)
         real = protocol.run_sequence
         probes = []
 
-        def one_unit_off(system, f, shift):
-            sig = real(system, f, shift)
-            if shift is None:
-                return sig
-            probes.append(shift.m)
+        def one_unit_off(n, g, e):
+            amps = real(n, g, e)
+            if e == 0:
+                return amps
+            probes.append(e)
             if len(probes) - 1 != bad_probe:
-                return sig
-            amps = (sig.amplitudes[0] + 1.0,) + sig.amplitudes[1:]
-            flags = tuple(abs(a) < DEFAULT_THRESHOLD for a in amps)
-            return SignalVector(amps, flags, DEFAULT_THRESHOLD)
+                return amps
+            return [amps[0] + 1] + amps[1:]
 
         monkeypatch.setattr(protocol, "run_sequence", one_unit_off)
         with pytest.raises(SignalError, match="parity walk"):
             solve_parity(system, f, snr_mode=snr_mode)
         assert len(probes) == bad_probe + 1
+
+    @pytest.mark.parametrize("snr_mode", [False, True])
+    def test_base_one_unit_off_raises_at_first_probe(self, monkeypatch, snr_mode):
+        # the base amplitude moves one unit away from zero, so the base run
+        # still reads no zero and keeps its branch sign, but every probe's
+        # parity now disagrees with it
+        system, f = self._full_walk(snr_mode)
+        real = protocol.run_sequence
+        runs = []
+
+        def base_off(n, g, e):
+            amps = real(n, g, e)
+            runs.append(e)
+            if e:
+                return amps
+            return [amps[0] + (1 if amps[0] > 0 else -1)] + amps[1:]
+
+        monkeypatch.setattr(protocol, "run_sequence", base_off)
+        with pytest.raises(SignalError, match="parity walk"):
+            solve_parity(system, f, snr_mode=snr_mode)
+        assert len(runs) == 2 and runs[0] == 0 and runs[1]
+
+
+def _replay_functions():
+    """Seeded functions of every parity at n = 1..12, and every function at
+    n = 3."""
+    for n in range(1, 13):
+        rng = np.random.default_rng(170 + n)
+        eps = tuple(rng.uniform(0.5, 2.0, n))
+        yield SpinSystem(n, epsilon=eps), PhaseFunction.constant(n, -1)
+        for _ in range(8):
+            yield SpinSystem(n, epsilon=eps), random_function(n, rng)
+    for mask in range(1 << 8):
+        yield SpinSystem(3), function_from_mask(3, mask)
+
+
+@pytest.mark.parametrize("snr_mode", [False, True])
+def test_every_record_replays_as_a_single_run(snr_mode):
+    # each record holds what a fresh pair_sequence run of its (m, sign)
+    # reads, bit for bit, times 2/N in SNR mode; the probe's zero flag is
+    # the decision the solver took
+    cases = 0
+    for system, f in _replay_functions():
+        scale = 2.0 / system.dim
+        trace = solve_parity(system, f, snr_mode=snr_mode)
+        for rec in trace.iterations:
+            spec = None if rec.m is None else ShiftSpec(rec.m, rec.sign)
+            sig = pair_sequence(system, f, spec)
+            where = f"n={f.n} marks={np.flatnonzero(f.marks).tolist()} shift={spec}"
+            want = [(a * scale if snr_mode else a).hex() for a in sig.amplitudes]
+            assert [a.hex() for a in rec.amplitudes] == want, where
+            if spec is not None:
+                assert sig.zero_flags[0] == rec.decision.endswith("nulls the spin-1 signal"), where
+            cases += 1
+    assert cases > 256
 
 
 class TestProjectedCallCounts:

@@ -3,11 +3,13 @@
 No production module imports this one; it imports from them, and nothing
 on the solver, dense-engine, CLI or benchmark path calls into it.  It holds
 the dense single-spin algebra the tests build their targets from (spin
-operators, basis projectors, the scalar coherence order), the selective,
-sign and block phase shifts, the compiled offset-shift circuit with the
-set-bit list of the shift size it is built from (criterion 5), the
-closed-form conjugation and evolution expansions (criterion 4), and the
-projected worst-case oracle-call budget (criterion 7).  It sits beside
+operators, basis projectors, the scalar coherence order), the generic
+mod-4 add on quarter-turn bit planes that the pair kernel's planes are
+checked against, the selective, sign and block phase shifts, the compiled
+offset-shift circuit with the set-bit list of the shift size it is built
+from (criterion 5), the closed-form conjugation and evolution expansions
+(criterion 4), and the projected worst-case oracle-call budget (criterion
+7).  It sits beside
 the tests, outside the installed package, and the test modules import it
 as ``verification``.
 """
@@ -75,6 +77,25 @@ def coherence_order(r: int, c: int) -> int:
     convention, i.e. ``popcount(c) - popcount(r)``.
     """
     return int(c).bit_count() - int(r).bit_count()
+
+
+def apply_diagonal(q: tuple, e: int, sign: int) -> tuple:
+    """Apply a quarter-turn diagonal unitary to a length-N vector held as its
+    quarter-turn exponents mod 4 (entries ``(-i)**q``), and return the result.
+
+    ``q = (q0, q1)`` are the exponents' two bit planes as Python ints: bit x
+    of ``q0`` (``q1``) is bit 0 (1) of index x's exponent.  The unitary adds
+    ``sign`` (+1 or -1) to the exponent of every index in the bitset ``e``,
+    as a mod-4 add with one carry plane: the generic add whose oracle-then-
+    shift case ``protocol.run_sequence`` builds inline."""
+    q0, q1 = q
+    if sign == 1:
+        q1 ^= q0 & e
+    elif sign == -1:
+        q1 ^= ~q0 & e
+    else:
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    return q0 ^ e, q1
 
 
 def selective_phase_shift(n: int, s: int, theta: float) -> DiagonalUnitary:
